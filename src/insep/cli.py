@@ -101,7 +101,10 @@ def load_operator(path) -> tuple[HermitianOperator, dict]:
     if not isinstance(meta, dict):
         raise CliError(f"{path}: meta must be an object")
     try:
-        op = HermitianOperator(arr[..., 0] + 1j * arr[..., 1], n)
+        # An inf entry meets inf - inf in the operator's check, which rejects
+        # it; numpy's warning about that would only repeat the error.
+        with np.errstate(invalid="ignore"):
+            op = HermitianOperator(arr[..., 0] + 1j * arr[..., 1], n)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return op, meta
@@ -346,6 +349,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Exit 1 means "inconclusive", so no failure may escape with Python's
+        # default exit code for an uncaught exception.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ Inconclusive never asserts separability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,8 +145,11 @@ def map_negativity_check(
     """Inseparable if the mapped operator has an eigenvalue below -tol.
 
     Positive single-qubit maps keep product mixtures positive, so negativity
-    after partial application rules out a product decomposition.
+    after partial application rules out a product decomposition. A negative
+    tol would call positive operators negative, so tol must be finite and >= 0.
     """
+    if not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     sigma = apply_product(rho, spec)
     w, v = hermitian_eigensystem(sigma)
     if w[0] < -tol:

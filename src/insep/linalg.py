@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,15 @@ class HermitianOperator:
             raise ValueError(f"dimension {dim} is not 2^n for n >= 1 qubits")
         if n_qubits > MAX_QUBITS:
             raise ValueError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
+        # A NaN or infinite entry makes dev NaN or infinite, so this one pass
+        # also rejects non-finite matrices (dev > TOL_HERM is false for NaN).
+        # An inf entry may make numpy warn of inf - inf first. It is not
+        # silenced here: an np.errstate costs about 2 us per construction, a
+        # third of the whole check on an 8x8 matrix. cli.load_operator, where
+        # such matrices come in from files, silences it.
         dev = float(np.max(np.abs(m - m.conj().T)))
+        if not math.isfinite(dev):
+            raise ValueError("matrix has NaN or infinite entries")
         if dev > TOL_HERM:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         m.setflags(write=False)
@@ -154,8 +163,17 @@ def bloch_from_density(sigma: HermitianOperator) -> BlochVector:
     )
 
 
+def _bloch_matrix(v) -> np.ndarray:
+    """The 2x2 array I/2 + x X + y Y + z Z at Bloch point v, radius checked.
+
+    The radius check r^2 <= 1/4 + TOL_PSD bounds the smaller eigenvalue
+    1/2 - r below by -TOL_PSD, so the array is PSD within TOL_PSD with trace
+    one, without an eigensolve.
+    """
+    x, y, z = BlochVector(*v)
+    return np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]])
+
+
 def density_from_bloch(v) -> DensityOperator:
     """Single-qubit density operator at Bloch point v = (x, y, z)."""
-    x, y, z = BlochVector(*v)
-    m = np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]])
-    return DensityOperator(m, 1)
+    return DensityOperator(_bloch_matrix(v), 1)

@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, DensityOperator, density_from_bloch, tensor
+from .linalg import MAX_QUBITS, DensityOperator, _bloch_matrix
 
 
 class Bell(Enum):
@@ -86,15 +86,23 @@ def ghz(n: int) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()), n)
 
 
+def _product_matrix(blochs) -> np.ndarray:
+    """Kronecker product of the radius-checked 2x2 factors, qubit 1 leftmost."""
+    factors = [_bloch_matrix(v) for v in blochs]
+    if not factors:
+        raise ValueError("need at least one Bloch vector")
+    if len(factors) > MAX_QUBITS:
+        # Checked before the 4^n-entry product is built, not after.
+        raise ValueError(f"{len(factors)} qubits exceeds the cap of {MAX_QUBITS}")
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
 def product_state(blochs) -> DensityOperator:
     """Tensor product of single-qubit states given by their Bloch vectors."""
-    blochs = list(blochs)
-    if not blochs:
-        raise ValueError("need at least one Bloch vector")
-    out = density_from_bloch(blochs[0])
-    for v in blochs[1:]:
-        out = tensor(out, density_from_bloch(v))
-    return DensityOperator(out.matrix, out.n_qubits)
+    return DensityOperator(_product_matrix(blochs))
 
 
 def mixture_rng(seed: int) -> np.random.Generator:
@@ -126,5 +134,5 @@ def random_multiseparable(n: int, terms: int, seed: int) -> DensityOperator:
     d = 1 << n
     acc = np.zeros((d, d), dtype=np.complex128)
     for w in weights:
-        acc += w * product_state(random_bloch(rng) for _ in range(n)).matrix
+        acc += w * _product_matrix(random_bloch(rng) for _ in range(n))
     return DensityOperator(acc, n)

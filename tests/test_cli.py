@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from insep import DensityOperator
+from insep import DensityOperator, cli
 from insep.cli import load_operator, main, parse_map_spec, save_operator, serialize_operator, CliError
 from insep.maps import MapKind, MapSpec
 
@@ -106,6 +106,38 @@ def test_load_rejects_malformed_files(tmp_path):
         load_operator(tmp_path / "missing.json")
 
 
+def _write_entries(path, entries):
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts.
+    path.write_text(json.dumps({"n_qubits": 1, "entries": entries}))
+
+
+# No numpy warning may come before the one-line error.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize(
+    "args",
+    [["detect", "lz"], ["detect", "hamming"], ["detect", "map", "--spec", "1:P"], ["eigs"]],
+)
+def test_non_finite_entries_exit_2(tmp_path, capsys, bad, where, args):
+    entries = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    a, b = where
+    entries[a][b] = [bad, 0.0]
+    path = tmp_path / "bad.json"
+    _write_entries(path, entries)
+    assert main([args[0], str(path), *args[1:]]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_apply_out_writes_nothing_for_non_finite_input(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    _write_entries(path, [[[0.5, 0.0], [math.nan, 0.0]], [[math.nan, 0.0], [0.5, 0.0]]])
+    out_path = tmp_path / "out.json"
+    assert main(["apply", str(path), "1:P", "--out", str(out_path)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------- map specs
 
 def test_parse_map_spec_grammar():
@@ -194,6 +226,34 @@ def test_detect_tol_override_relaxes_verdict(tmp_path, capsys):
     main(["gen", "isotropic", "s=0.99", "--out", str(path)])
     assert main(["detect", str(path), "map", "--spec", "2:P"]) == 0
     assert main(["detect", str(path), "map", "--spec", "2:P", "--tol", "0.01"]) == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_detect_rejects_bad_tol(tmp_path, capsys, tol):
+    path = tmp_path / "product.json"
+    main(["gen", "random-msep", "n=2", "terms=1", "seed=3", "--out", str(path)])
+    assert main(["detect", str(path), "map", "--spec", "1:I", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "verdict" not in captured.out
+    assert "tolerance" in captured.err
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        # LinAlgError is a ValueError, so it takes the ordinary error path.
+        (np.linalg.LinAlgError("Eigenvalues did not converge"), "error: Eigenvalues did not converge"),
+        (IndexError("index 4 is out of bounds"), "error: IndexError: index 4 is out of bounds"),
+        (RuntimeError("boom"), "error: RuntimeError: boom"),
+    ],
+)
+def test_unexpected_exception_exits_2(bell_file, capsys, monkeypatch, exc, message):
+    def broken(rho):
+        raise exc
+
+    monkeypatch.setattr(cli, "lz_antidiagonal_check", broken)
+    assert main(["detect", str(bell_file), "lz"]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_detect_requires_spec_for_map(bell_file, capsys):

@@ -36,6 +36,17 @@ def test_rejects_non_hermitian():
         HermitianOperator([[0, 1], [0, 0]])
 
 
+# numpy may warn of inf - inf before the ValueError; only the error counts.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_rejects_non_finite_entries(bad, where):
+    m = np.eye(2, dtype=complex) / 2
+    m[where] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        HermitianOperator(m)
+
+
 def test_rejects_non_square_and_bad_dimension():
     with pytest.raises(ValueError):
         HermitianOperator(np.zeros((2, 3)))

@@ -175,6 +175,20 @@ def test_apply_product_identity_and_order_independence():
         assert np.max(np.abs(step.matrix - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [MapSpec.all_qubits(3, kind) for kind in MapKind]
+    + [MapSpec(((1, MapKind.T), (2, MapKind.P), (3, MapKind.H))), MapSpec(((3, MapKind.X), (1, MapKind.P)))],
+    ids=str,
+)
+def test_apply_product_equals_chained_apply_on_qubit(spec):
+    rho = random_density(np.random.default_rng(16), 3)
+    chained = rho
+    for q, kind in sorted(spec.assignments):
+        chained = apply_on_qubit(chained, q, kind)
+    assert np.array_equal(apply_product(rho, spec).matrix, chained.matrix)
+
+
 def test_apply_product_is_linear():
     rng = np.random.default_rng(14)
     spec = MapSpec(((1, MapKind.P), (2, MapKind.H)))

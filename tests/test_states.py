@@ -1,16 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from insep import (
+    BlochVector,
     DensityOperator,
     MapKind,
     Verdict,
     apply_on_qubit,
+    density_from_bloch,
     hermitian_eigenvalues,
     lz_antidiagonal_check,
     min_eigenvalue,
+    tensor,
 )
 from insep.states import (
     Bell,
@@ -141,6 +145,31 @@ def test_product_of_centered_bloch_vectors_is_maximally_mixed():
         assert np.allclose(rho.matrix, np.eye(1 << n) / (1 << n))
 
 
+def test_product_state_matches_chained_tensor():
+    blochs = [(0.1, 0.2, 0.3), (0.0, -0.4, 0.1), (0.2, 0.2, -0.2)]
+    expected = density_from_bloch(blochs[0])
+    for v in blochs[1:]:
+        expected = tensor(expected, density_from_bloch(v))
+    rho = product_state(blochs)
+    assert isinstance(rho, DensityOperator)
+    assert rho.n_qubits == 3
+    assert np.array_equal(rho.matrix, expected.matrix)
+
+
+def test_product_state_rejects_bad_input(monkeypatch):
+    with pytest.raises(ValueError, match="Bloch ball"):
+        product_state([(0.0, 0.0, 0.0), (0.4, 0.4, 0.0)])
+    with pytest.raises(ValueError, match="at least one"):
+        product_state([])
+    # Over the qubit cap: rejected before any Kronecker product is built.
+    monkeypatch.setattr(np, "kron", None)
+    with pytest.raises(ValueError, match="cap"):
+        product_state([(0.0, 0.0, 0.0)] * 13)
+    monkeypatch.undo()
+    # A point on the sphere within TOL_PSD is a valid pure factor.
+    assert product_state([BlochVector(0.0, 0.0, 0.5)]).matrix[1, 1] == 0
+
+
 def test_bell_kets_are_orthonormal():
     kets = [bell_ket(b) for b in Bell]
     gram = np.array([[np.vdot(u, v) for v in kets] for u in kets])
@@ -164,3 +193,25 @@ def test_random_multiseparable_validates_arguments():
         random_multiseparable(13, 3, seed=1)
     with pytest.raises(ValueError):
         random_multiseparable(2, 0, seed=1)
+
+
+def test_random_multiseparable_bytes_are_pinned():
+    # sha256 of the matrix bytes as built by chained validated tensor products;
+    # building on plain arrays must not change a single bit.
+    rho = random_multiseparable(4, 3, seed=7)
+    digest = hashlib.sha256(rho.matrix.tobytes()).hexdigest()
+    assert digest == "4e4c18b9f00bbdd29434b89b84c4121da4b34743c0229bb3b415963faac8e936"
+
+
+def test_random_multiseparable_runs_one_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho = random_multiseparable(4, 5, seed=7)
+    assert calls == [(16, 16)]
+    assert isinstance(rho, DensityOperator)
