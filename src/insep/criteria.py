@@ -78,37 +78,36 @@ class DetectionReport:
             raise ValueError("an inseparability verdict requires a witness")
 
 
-def _popcount_table(n: int) -> np.ndarray:
-    return np.array([v.bit_count() for v in range(1 << n)])
+def _lower_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair d > a > b in row-major (lexicographic) order.
 
-
-def _best_offdiagonal(matrix: np.ndarray, n: int, antidiagonal_only: bool) -> OffDiagonalWitness | None:
-    """Largest bound violation over the lower triangle, ties broken by (a, b).
-
-    Scans pairs a > b only; Hermiticity makes the upper triangle redundant.
-    np.argwhere is row-major, so the first maximal entry is the
-    lexicographically smallest pair, which keeps witnesses deterministic.
+    Hermiticity makes the upper triangle redundant.
     """
-    d = 1 << n
-    idx = np.arange(d)
-    h = _popcount_table(n)[idx[:, None] ^ idx[None, :]]
-    margins = np.abs(matrix) - 0.5**h
-    mask = idx[:, None] > idx[None, :]
-    if antidiagonal_only:
-        mask &= idx[:, None] + idx[None, :] == d - 1
-    margins = np.where(mask, margins, -np.inf)
-    best = margins.max()
-    if best <= TOL_CRIT:
+    i = np.arange(d)
+    return np.nonzero(i[:, None] > i)
+
+
+def _best_offdiagonal(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> OffDiagonalWitness | None:
+    """Largest bound violation |m_ab| - 2^-h(a,b) over the given pairs.
+
+    The pairs come in lexicographic order, so the first maximal margin is the
+    smallest (a, b) among ties, which keeps witnesses deterministic.
+    """
+    h = np.bitwise_count(a ^ b)
+    margins = np.abs(matrix[a, b]) - 0.5**h
+    k = int(np.argmax(margins))
+    if margins[k] <= TOL_CRIT:
         return None
-    a, b = np.argwhere(margins == best)[0]
-    a, b = int(a), int(b)
+    a, b = int(a[k]), int(b[k])
     return OffDiagonalWitness(
-        a=a,
-        b=b,
-        value=complex(matrix[a, b]),
-        hamming_distance=int(h[a, b]),
-        bound=float(0.5 ** h[a, b]),
+        a=a, b=b, value=complex(matrix[a, b]), hamming_distance=int(h[k]), bound=float(0.5 ** h[k])
     )
+
+
+def _offdiagonal_report(criterion: Criterion, witness: OffDiagonalWitness | None) -> DetectionReport:
+    if witness is None:
+        return DetectionReport(Verdict.INCONCLUSIVE, criterion)
+    return DetectionReport(Verdict.INSEPARABLE, criterion, witness)
 
 
 def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
@@ -117,10 +116,10 @@ def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
     Inseparable if some antidiagonal element (a, 2^n-1-a) has modulus above
     (1/2)^n; product mixtures cannot exceed that bound.
     """
-    witness = _best_offdiagonal(rho.matrix, rho.n_qubits, antidiagonal_only=True)
-    if witness is None:
-        return DetectionReport(Verdict.INCONCLUSIVE, Criterion.LZ_ANTIDIAGONAL)
-    return DetectionReport(Verdict.INSEPARABLE, Criterion.LZ_ANTIDIAGONAL, witness)
+    d = 1 << rho.n_qubits
+    a = np.arange(d // 2, d)
+    witness = _best_offdiagonal(rho.matrix, a, d - 1 - a)
+    return _offdiagonal_report(Criterion.LZ_ANTIDIAGONAL, witness)
 
 
 def hamming_offdiagonal_check(rho: DensityOperator) -> DetectionReport:
@@ -133,10 +132,8 @@ def hamming_offdiagonal_check(rho: DensityOperator) -> DetectionReport:
         raise ValueError(
             f"dense all-pairs scan is capped at {FULL_SCAN_MAX_QUBITS} qubits, got {rho.n_qubits}"
         )
-    witness = _best_offdiagonal(rho.matrix, rho.n_qubits, antidiagonal_only=False)
-    if witness is None:
-        return DetectionReport(Verdict.INCONCLUSIVE, Criterion.HAMMING_OFFDIAGONAL)
-    return DetectionReport(Verdict.INSEPARABLE, Criterion.HAMMING_OFFDIAGONAL, witness)
+    witness = _best_offdiagonal(rho.matrix, *_lower_pairs(1 << rho.n_qubits))
+    return _offdiagonal_report(Criterion.HAMMING_OFFDIAGONAL, witness)
 
 
 def map_negativity_check(
@@ -185,19 +182,9 @@ def equal_argument_check(
     undefined). Phases are compared as angles between complex numbers, so the
     +-pi wraparound is handled.
     """
-    m = rho.matrix
-    d = m.shape[0]
-    ref = None
-    for i in range(1, d):
-        for j in range(i):
-            c = m[i, j]
-            if abs(c) <= zero_tol:
-                continue
-            if ref is None:
-                ref = c
-            elif abs(np.angle(c * np.conj(ref))) > tol_arg:
-                return False
-    return True
+    c = rho.matrix[_lower_pairs(rho.matrix.shape[0])]
+    c = c[np.abs(c) > zero_tol]
+    return c.size == 0 or not np.any(np.abs(np.angle(c * np.conj(c[0]))) > tol_arg)
 
 
 def lemma1_bound_check(rho: HermitianOperator, a: int, b: int) -> bool:

@@ -138,6 +138,14 @@ def check_ppt_control(h: Harness) -> None:
         h.at_least(f"b-family partial transpose on qubit 1, min eig at b={b}", low, -1e-9)
 
 
+def _isotropic_verdict(s: float, spec: MapSpec) -> str:
+    """The verdict all four Bell states share at s, or each one's if they differ."""
+    by_bell = {bell.value: map_negativity_check(isotropic(s, bell), spec).verdict.value for bell in Bell}
+    if len(set(by_bell.values())) == 1:
+        return by_bell[Bell.PHI_PLUS.value]
+    return "Bell states disagree (" + ", ".join(f"{k}: {v}" for k, v in by_bell.items()) + ")"
+
+
 def check_isotropic(h: Harness) -> None:
     s_grid = (0, 0.5, 1, 1.5, 2, 5)
     for s in s_grid:
@@ -154,9 +162,7 @@ def check_isotropic(h: Harness) -> None:
         h.close_to(f"isotropic (IxP) spectrum deviation at s={s}, all Bell states", dev_p, 0.0, 1e-10)
         h.close_to(f"isotropic (IxT) spectrum deviation at s={s}, all Bell states", dev_t, 0.0, 1e-10)
     for kind, flip in ((MapKind.P, 1.0), (MapKind.T, 2.0)):
-        verdicts = [
-            map_negativity_check(isotropic(s), MapSpec.single(2, kind)).verdict.value for s in s_grid
-        ]
+        verdicts = [_isotropic_verdict(s, MapSpec.single(2, kind)) for s in s_grid]
         expected = [
             Verdict.INSEPARABLE.value if s < flip else Verdict.INCONCLUSIVE.value for s in s_grid
         ]
@@ -250,7 +256,7 @@ def check_lemmas(h: Harness, samples: int = 500) -> None:
     n = 3
     d = 1 << n
     idx = np.arange(d)
-    hmat = np.array([v.bit_count() for v in range(d)])[idx[:, None] ^ idx[None, :]]
+    hmat = np.bitwise_count(idx[:, None] ^ idx[None, :])
     off = idx[:, None] != idx[None, :]
     bound_violations = 0
     spot_failures = 0

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from insep import DensityOperator, cli
+from insep import DensityOperator, cli, reproduce
 from insep.cli import load_operator, main, parse_map_spec, save_operator, serialize_operator, CliError
 from insep.maps import MapKind, MapSpec
+from insep.states import Bell
 
 
 @pytest.fixture
@@ -303,6 +304,40 @@ def test_reproduce_reports_only_the_known_discrepancy(capsys):
     summary = out.splitlines()[-1]
     passed, total = summary.split()[0].split("/")
     assert int(total) - int(passed) == 1
+
+
+def test_reproduce_isotropic_verdicts_cover_all_bell_states(monkeypatch):
+    # shift psi- alone by s -> s + 3: its verdicts no longer flip at s = 1 and
+    # s = 2, so both verdict rows must fail and name the disagreeing states
+    real = reproduce.isotropic
+
+    def shifted(s, bell=Bell.PHI_PLUS):
+        return real(s + 3 if bell is Bell.PSI_MINUS else s, bell)
+
+    monkeypatch.setattr(reproduce, "isotropic", shifted)
+    h = reproduce.Harness()
+    reproduce.check_isotropic(h)
+    rows = [r for r in h.rows if "verdicts" in r.name]
+    assert [r.name for r in rows] == [
+        "isotropic IxP verdicts over s=(0, 0.5, 1, 1.5, 2, 5)",
+        "isotropic IxT verdicts over s=(0, 0.5, 1, 1.5, 2, 5)",
+    ]
+    assert not any(r.passed for r in rows)
+    disagree = (
+        "Bell states disagree (phi+: inseparable, phi-: inseparable, psi+: inseparable, psi-: inconclusive)"
+    )
+    assert rows[0].computed.startswith(f"['{disagree}', '{disagree}', 'inconclusive'")
+
+
+def test_reproduce_isotropic_verdict_rows_print_the_common_verdict():
+    h = reproduce.Harness()
+    reproduce.check_isotropic(h)
+    rows = [r for r in h.rows if "verdicts" in r.name]
+    assert [r.computed for r in rows] == [
+        "['inseparable', 'inseparable', 'inconclusive', 'inconclusive', 'inconclusive', 'inconclusive']",
+        "['inseparable', 'inseparable', 'inseparable', 'inseparable', 'inconclusive', 'inconclusive']",
+    ]
+    assert all(r.passed for r in rows)
 
 
 def test_reproduce_perturbation_hook_fails_rows(capsys):

@@ -20,7 +20,7 @@ from insep import (
     map_negativity_check,
     min_eigenvalue,
 )
-from insep.criteria import _best_offdiagonal
+from insep.criteria import TOL_CRIT, _best_offdiagonal, _lower_pairs
 from insep.states import (
     Bell,
     bell_state,
@@ -147,8 +147,83 @@ def test_witness_tie_breaks_lexicographically():
     m = np.zeros((4, 4), dtype=complex)
     m[3, 0] = m[0, 3] = 0.3
     m[2, 1] = m[1, 2] = 0.3
-    w = _best_offdiagonal(m, 2, antidiagonal_only=False)
+    w = _best_offdiagonal(m, *_lower_pairs(4))
     assert (w.a, w.b) == (2, 1)
+
+
+def test_antidiagonal_tie_breaks_lexicographically():
+    # equal margins 0.2 - 1/8 at (5,2) and (4,3), both with h = 3
+    m = np.zeros((8, 8), dtype=complex)
+    for a in (2, 3, 4, 5):
+        m[a, a] = 0.25
+    m[5, 2] = m[2, 5] = 0.2
+    m[4, 3] = m[3, 4] = 0.2
+    rho = DensityOperator(m, 3)
+    for check in (lz_antidiagonal_check, hamming_offdiagonal_check):
+        w = check(rho).witness
+        assert (w.a, w.b, w.hamming_distance, w.bound) == (4, 3, 3, 0.125)
+
+
+def brute_force_witness(matrix, pairs):
+    # plain loop over pairs given in lexicographic order; strict > keeps the
+    # first, so the smallest (a, b) among the maximal margins wins. Also
+    # counts the pairs that reach the maximal margin.
+    best, tied = None, 0
+    for a, b in pairs:
+        h = bin(a ^ b).count("1")
+        margin = abs(matrix[a, b]) - 0.5**h
+        if margin <= TOL_CRIT:
+            continue
+        if best is None or margin > best[0]:
+            best, tied = (margin, a, b, h), 1
+        elif margin == best[0]:
+            tied += 1
+    return best, tied
+
+
+def tied_state(rng, n):
+    # (1-q) |psi><psi| + q I/d, psi spread over a random support with
+    # magnitudes from {1, 2} and phases from {1, i, -1, -i}: every modulus
+    # product is computed exactly, so pairs with equal products and equal h
+    # have equal margins
+    d = 1 << n
+    support = set(rng.choice(d, size=min(d, int(rng.integers(1, 5))), replace=False).tolist())
+    for a in rng.choice(d // 2, size=int(rng.integers(0, 3))).tolist():
+        support |= {a, d - 1 - a}  # antidiagonal pairs, for lz ties
+    psi = np.zeros(d, dtype=complex)
+    for a in support:
+        psi[a] = rng.choice([1, 2]) * rng.choice([1, 1j, -1, -1j])
+    psi /= np.linalg.norm(psi)
+    q = rng.choice([0.0, 0.1, 0.5])
+    return DensityOperator((1 - q) * np.outer(psi, psi.conj()) + q * np.eye(d) / d, n)
+
+
+def test_witnesses_match_brute_force_with_ties():
+    rng = mixture_rng(4)
+    ties = {"lz": 0, "hamming": 0}
+    for n in range(1, 7):
+        d = 1 << n
+        lower = [(a, b) for a in range(d) for b in range(a)]
+        antidiagonal = [(a, d - 1 - a) for a in range(d // 2, d)]
+        for _ in range(40):
+            rho = tied_state(rng, n)
+            for name, check, pairs in (
+                ("lz", lz_antidiagonal_check, antidiagonal),
+                ("hamming", hamming_offdiagonal_check, lower),
+            ):
+                report = check(rho)
+                expected, tied = brute_force_witness(rho.matrix, pairs)
+                if expected is None:
+                    assert report.verdict is Verdict.INCONCLUSIVE and report.witness is None
+                    continue
+                margin, a, b, h = expected
+                w = report.witness
+                assert report.verdict is Verdict.INSEPARABLE
+                assert (w.a, w.b, w.hamming_distance, w.bound) == (a, b, h, 0.5**h)
+                assert w.value == rho.matrix[a, b] and w.margin == margin
+                ties[name] += tied > 1
+    # the draw must exercise the tie-break of both scans
+    assert ties["lz"] > 0 and ties["hamming"] > 0
 
 
 # ---------------------------------------------------------------- map negativity
@@ -263,6 +338,43 @@ def test_equal_argument_ignores_zero_elements_and_handles_wraparound():
     m[2, 0] = -0.05 * np.exp(1e-12j)  # argument within tolerance of pi, other side
     m[0, 2] = np.conj(m[2, 0])
     assert equal_argument_check(HermitianOperator(m))
+
+
+def test_equal_argument_accepts_diagonal_and_single_qubit_matrices():
+    # no element above zero_tol: the empty selection passes
+    assert equal_argument_check(HermitianOperator(np.diag([0.1, 0.2, 0.3, 0.4])))
+    assert equal_argument_check(HermitianOperator(np.eye(2) / 2))
+    # n = 1 has one lower element, which trivially shares its own argument
+    assert equal_argument_check(HermitianOperator([[0.5, -0.3j], [0.3j, 0.5]]))
+    assert equal_argument_check(HermitianOperator([[0.5, 1e-13j], [-1e-13j, 0.5]]))
+
+
+def test_equal_argument_matches_plain_loop():
+    def loop(m):
+        ref = None
+        for i in range(1, m.shape[0]):
+            for j in range(i):
+                c = m[i, j]
+                if abs(c) <= 1e-12:
+                    continue
+                if ref is None:
+                    ref = c
+                elif abs(np.angle(c * np.conj(ref))) > 1e-9:
+                    return False
+        return True
+
+    rng = mixture_rng(12)
+    seen = set()
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        d = 1 << n
+        low = np.tril(rng.choice([0, 0.1, 0.2], size=(d, d)), -1).astype(complex)
+        low *= np.exp(1j * rng.choice([0.0, 1e-10, 0.5, np.pi, -np.pi + 1e-11], size=(d, d)))
+        rho = HermitianOperator(low + low.conj().T + np.eye(d), n)
+        expected = loop(rho.matrix)
+        seen.add(expected)
+        assert equal_argument_check(rho) is expected
+    assert seen == {True, False}
 
 
 def test_full_p_map_preserves_equal_argument_structure():
