@@ -1,41 +1,21 @@
 """End-to-end acceptance checks against closed-form reference results.
 
-Each test covers one numbered criterion, prints a single PASS/FAIL line, and
-asserts. Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Check k of ``insep.reproduce.run_all`` is acceptance criterion k. Criteria 2-9
+are defined once, as those check functions: the test for criterion k runs its
+``reproduce.check_*`` and fails on every row the check marks failed, so
+``insep reproduce`` and this file run the same checks. Criterion 1 keeps its
+own body: it asserts the b-family's threshold b* = (4*sqrt(13)-7)/53, while
+``insep reproduce`` keeps the quoted constant (see README, "Known failing
+check").
+
+Each test prints a single PASS/FAIL line and asserts. Run with
+``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import math
 
-import numpy as np
-
-from insep import (
-    HermitianOperator,
-    MapKind,
-    MapSpec,
-    Verdict,
-    apply_on_qubit,
-    apply_on_qubit_dense,
-    apply_product,
-    bloch_from_density,
-    density_from_bloch,
-    equal_argument_check,
-    hamming_offdiagonal_check,
-    hermitian_eigenvalues,
-    lambda_p,
-    lemma1_bound_check,
-    lemma2_witness_value,
-    lz_antidiagonal_check,
-    min_eigenvalue,
-)
-from insep.states import (
-    Bell,
-    horodecki_b,
-    isotropic,
-    mixture_rng,
-    pure_superposition,
-    random_bloch,
-    random_multiseparable,
-)
+from insep import Verdict, hamming_offdiagonal_check, reproduce
+from insep.states import horodecki_b
 
 QUOTED_B_THRESHOLD = (math.sqrt(57) - 7) / 4  # ~0.1374586
 EXACT_B_THRESHOLD = (4 * math.sqrt(13) - 7) / 53  # ~0.1400416
@@ -47,11 +27,11 @@ def _report(num, label, failures):
     assert not failures, f"criterion {num} ({label}): " + " | ".join(failures)
 
 
-def _random_density(rng, n):
-    d = 1 << n
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return HermitianOperator(m / m.trace().real, n)
+def _run_check(num, label, check):
+    h = reproduce.Harness()
+    check(h)
+    failures = [f"{r.name}: computed {r.computed}, expected {r.expected}" for r in h.rows if not r.passed]
+    _report(num, label, failures)
 
 
 def test_criterion_1_b_family_threshold():
@@ -100,171 +80,34 @@ def test_criterion_1_b_family_threshold():
 
 
 def test_criterion_2_b_family_ppt_control():
-    failures = []
-    for b in (0.1, 0.5, 0.9):
-        low = min_eigenvalue(apply_on_qubit(horodecki_b(b), 1, MapKind.T))
-        if low < -1e-9:
-            failures.append(f"b={b}: min eigenvalue {low:.3e} under first-qubit transpose")
-    _report(2, "b-family stays positive under first-qubit transpose", failures)
+    _run_check(2, "b-family stays positive under first-qubit transpose", reproduce.check_ppt_control)
 
 
 def test_criterion_3_isotropic_spectra_and_flips():
-    failures = []
-    s_grid = (0, 0.5, 1, 1.5, 2, 5)
-    for s in s_grid:
-        for bell in Bell:
-            rho = isotropic(s, bell)
-            got = hermitian_eigenvalues(apply_on_qubit(rho, 2, MapKind.P))
-            expected = np.sort([(s - 1) / (4 * s + 4), (s + 3) / (4 * s + 4), 0.25, 0.25])
-            if np.max(np.abs(got - expected)) > 1e-10:
-                failures.append(f"IxP spectrum off at s={s}, bell={bell.value}")
-            got = hermitian_eigenvalues(apply_on_qubit(rho, 2, MapKind.T))
-            expected = np.sort([(s - 2) / (4 * s + 4)] + [(s + 2) / (4 * s + 4)] * 3)
-            if np.max(np.abs(got - expected)) > 1e-10:
-                failures.append(f"IxT spectrum off at s={s}, bell={bell.value}")
-    for kind, flip in ((MapKind.P, 1.0), (MapKind.T, 2.0)):
-        for s in s_grid:
-            for bell in Bell:
-                low = min_eigenvalue(apply_on_qubit(isotropic(s, bell), 2, kind))
-                fired = low < -1e-9
-                if fired != (s < flip):
-                    failures.append(f"Ix{kind.value} verdict at s={s}, bell={bell.value}: fired={fired}")
-    _report(3, "isotropic spectra and detection flips at s=1 (P) and s=2 (T)", failures)
+    _run_check(3, "isotropic spectra and detection flips at s=1 (P) and s=2 (T)", reproduce.check_isotropic)
 
 
 def test_criterion_4_pure_state_spectra_and_window():
-    failures = []
-    lo, hi = 0.5 - math.sqrt(3) / 4, 0.5 + math.sqrt(3) / 4
-    for p in (0.05, 0.067, 0.1, 0.5, 0.9, 0.933, 0.95):
-        rho = pure_superposition(p)
-        got = hermitian_eigenvalues(apply_on_qubit(rho, 2, MapKind.P))
-        disc = math.sqrt(-12 * p * p + 12 * p + 1) / 4
-        expected = np.sort([p / 2, (1 - p) / 2, 0.25 - disc, 0.25 + disc])
-        if np.max(np.abs(got - expected)) > 1e-10:
-            failures.append(f"IxP spectrum off at p={p}")
-        both = apply_product(rho, MapSpec.all_qubits(2, MapKind.P))
-        got = hermitian_eigenvalues(both)
-        r = math.sqrt(p - p * p)
-        expected = np.sort([0.25, 0.25, 0.25 - r, 0.25 + r])
-        if np.max(np.abs(got - expected)) > 1e-10:
-            failures.append(f"PxP spectrum off at p={p}")
-        fired = min_eigenvalue(both) < -1e-9
-        if fired != (lo < p < hi):
-            failures.append(f"PxP negativity at p={p}: fired={fired}, window=({lo:.6f},{hi:.6f})")
-    _report(4, "pure-superposition spectra and negativity window", failures)
+    _run_check(4, "pure-superposition spectra and negativity window", reproduce.check_pure_state)
 
 
 def test_criterion_5_soundness_sweep():
-    failures = []
-    for n in (2, 3, 4):
-        specs = [MapSpec.single(k, MapKind.P) for k in range(1, n + 1)]
-        specs += [MapSpec.single(k, MapKind.T) for k in range(1, n + 1)]
-        specs.append(MapSpec.all_qubits(n, MapKind.P))
-        lowest = math.inf
-        for i in range(1000):
-            rho = random_multiseparable(n, terms=1 + i % 5, seed=i)
-            if lz_antidiagonal_check(rho).verdict is not Verdict.INCONCLUSIVE:
-                failures.append(f"n={n} seed={i}: antidiagonal false positive")
-            if hamming_offdiagonal_check(rho).verdict is not Verdict.INCONCLUSIVE:
-                failures.append(f"n={n} seed={i}: off-diagonal false positive")
-            for spec in specs:
-                low = min_eigenvalue(apply_product(rho, spec))
-                lowest = min(lowest, low)
-                if low < -1e-9:
-                    failures.append(f"n={n} seed={i} spec={spec}: min eigenvalue {low:.3e}")
-        print(f"  soundness n={n}: lowest eigenvalue seen {lowest:.3e}")
-    _report(5, "1000 product mixtures per n in (2,3,4) stay undetected", failures)
+    _run_check(5, "1000 product mixtures per n in (2,3,4) stay undetected", reproduce.check_soundness)
 
 
 def test_criterion_6_decomposition_identity():
-    failures = []
-    rng = mixture_rng(606)
-    worst = 0.0
-    for i in range(1000):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (g + g.conj().T) / 2
-        tr = h.trace().real
-        if abs(tr) < 0.5:  # keep the trace-one normalization well conditioned
-            h += np.eye(4) * (1.0 if tr >= 0 else -1.0)
-            tr = h.trace().real
-        rho = HermitianOperator(h / tr, 2)
-        lhs = apply_on_qubit(rho, 2, MapKind.P).matrix
-        rhs = (rho.matrix + apply_on_qubit(apply_on_qubit(rho, 2, MapKind.T), 2, MapKind.X).matrix) / 2
-        dev = float(np.max(np.abs(lhs - rhs)))
-        worst = max(worst, dev)
-        if dev > 1e-12:
-            failures.append(f"sample {i}: deviation {dev:.3e}")
-    print(f"  decomposition identity worst deviation {worst:.3e}")
-    _report(6, "partial P equals (identity + flip∘transpose)/2 on 1000 operators", failures)
+    _run_check(
+        6, "partial P equals (identity + flip∘transpose)/2 on 1000 operators", reproduce.check_decomposition
+    )
 
 
 def test_criterion_7_element_rule_equals_dense_construction():
-    failures = []
-    rng = mixture_rng(707)
-    for n in (2, 3, 4):
-        worst = 0.0
-        for _ in range(200):
-            rho = _random_density(rng, n)
-            for k in range(1, n + 1):
-                for kind in MapKind:
-                    fast = apply_on_qubit(rho, k, kind).matrix
-                    dense = apply_on_qubit_dense(rho, k, kind).matrix
-                    worst = max(worst, float(np.max(np.abs(fast - dense))))
-        if worst > 1e-12:
-            failures.append(f"n={n}: worst deviation {worst:.3e}")
-    _report(7, "element-wise application equals dense construction", failures)
+    _run_check(7, "element-wise application equals dense construction", reproduce.check_elementwise_vs_dense)
 
 
 def test_criterion_8_lemma_suite():
-    failures = []
-    rng = mixture_rng(808)
-    n = 3
-    d = 1 << n
-    idx = np.arange(d)
-    hmat = np.array([v.bit_count() for v in range(d)])[idx[:, None] ^ idx[None, :]]
-    off = idx[:, None] != idx[None, :]
-    for i in range(500):
-        acc = np.zeros((d, d))
-        terms = 1 + int(rng.integers(4))
-        w = rng.uniform(0, 1, terms)
-        w /= w.sum()
-        for t in range(terms):
-            v = rng.uniform(0, 1, d)
-            v /= np.linalg.norm(v)
-            acc += w[t] * np.outer(v, v)
-        rho = HermitianOperator(acc, n)
-        if not equal_argument_check(rho):
-            failures.append(f"state {i}: generator produced a non-equal-argument state")
-            continue
-        mapped = apply_product(rho, MapSpec.all_qubits(n, MapKind.P))
-        lower = np.abs(rho.matrix) / 2.0 ** (n - hmat)
-        if np.any(off & (np.abs(mapped.matrix) < lower - 1e-9)):
-            failures.append(f"state {i}: magnitude bound violated")
-        masked = np.where(off, np.abs(rho.matrix), -np.inf)
-        a, b = map(int, np.argwhere(masked == masked.max())[0])
-        if not lemma1_bound_check(rho, a, b):
-            failures.append(f"state {i}: bound check rejected element ({a},{b})")
-        s = mapped.matrix
-        for a in range(d):
-            for b in range(d):
-                if a == b or abs(s[a, b]) == 0:
-                    continue
-                value = lemma2_witness_value(mapped, a, b)
-                closed = 2 * (0.5**n - abs(s[a, b]))
-                if abs(value - closed) > 1e-12:
-                    failures.append(f"state {i} ({a},{b}): witness {value} vs closed form {closed}")
-                if (value < 0) != (abs(s[a, b]) > 0.5**n):
-                    failures.append(f"state {i} ({a},{b}): sign disagrees with bound comparison")
-    _report(8, "magnitude lower bound and quadratic-form witness over 500 states", failures)
+    _run_check(8, "magnitude lower bound and quadratic-form witness over 500 states", reproduce.check_lemmas)
 
 
 def test_criterion_9_bloch_projection():
-    failures = []
-    rng = mixture_rng(909)
-    for i in range(1000):
-        x, y, z = random_bloch(rng)
-        image = bloch_from_density(lambda_p(density_from_bloch((x, y, z))))
-        dev = max(abs(image.x - x), abs(image.y - y), abs(image.z))
-        if dev > 1e-12:
-            failures.append(f"state {i}: image ({image.x},{image.y},{image.z}) from ({x},{y},{z})")
-    _report(9, "population averaging projects (x,y,z) to (x,y,0)", failures)
+    _run_check(9, "population averaging projects (x,y,z) to (x,y,0)", reproduce.check_bloch_projection)
