@@ -18,6 +18,7 @@ from .linalg import (
     TOL_PSD,
     DensityOperator,
     HermitianOperator,
+    _psd_certified,
     hamming,
     hermitian_eigensystem,
 )
@@ -144,14 +145,18 @@ def map_negativity_check(
     Positive single-qubit maps keep product mixtures positive, so negativity
     after partial application rules out a product decomposition. A negative
     tol would call positive operators negative, so tol must be finite and >= 0.
+    A shifted-Cholesky certificate of lambda_min >= -3*tol/4 decides
+    inconclusive without an eigensolve; otherwise the full eigensystem
+    decides, and supplies the witness.
     """
     if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     sigma = apply_product(rho, spec)
-    w, v = hermitian_eigensystem(sigma)
-    if w[0] < -tol:
-        witness = EigenvalueWitness(min_eigenvalue=float(w[0]), eigenvector=v[:, 0].copy())
-        return DetectionReport(Verdict.INSEPARABLE, Criterion.MAP_NEGATIVITY, witness, spec)
+    if not _psd_certified(sigma.matrix, tol):
+        w, v = hermitian_eigensystem(sigma)
+        if w[0] < -tol:
+            witness = EigenvalueWitness(min_eigenvalue=float(w[0]), eigenvector=v[:, 0].copy())
+            return DetectionReport(Verdict.INSEPARABLE, Criterion.MAP_NEGATIVITY, witness, spec)
     return DetectionReport(Verdict.INCONCLUSIVE, Criterion.MAP_NEGATIVITY, map_spec=spec)
 
 

@@ -22,7 +22,6 @@ import numpy as np
 TOL_HERM = 1e-12
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-9
-TOL_EIG = 1e-10
 
 # Dense 2^n x 2^n storage; 12 qubits (4096^2 complex doubles) is the
 # practical desk-scale limit.
@@ -76,8 +75,47 @@ class HermitianOperator:
         return f"{type(self).__name__}(n_qubits={self.n_qubits})"
 
 
+def _psd_certified(matrix: np.ndarray, tol: float) -> bool:
+    """True only if a shifted Cholesky proves lambda_min(matrix) >= -3*tol/4.
+
+    Factors A + (tol/2) I, reading the lower triangle as eigh and eigvalsh
+    do. A computed factor R satisfies R*R = A + (tol/2) I + E with
+    |E| <= gamma |R*||R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3), plus the rounding of the shifted
+    diagonal, so lambda_min(A) >= -tol/2 - err with
+    err = gamma ||R||_F^2 + u (max|a_ii| + tol/2). gamma_{4(d+1)} is taken
+    in place of gamma_{d+1} to cover complex arithmetic. The certificate is
+    given when err <= tol/4. ||R||_F^2 is about trace(A), which is at least
+    ||A||_2 for a matrix that factors, so the bound holds only where tol/4
+    exceeds eigh's own error, and eigh would also find lambda_min >= -tol.
+    A failed factorization, a failed bound, a NaN and a shift that is not
+    > 0 (tol = 0 among them) all return False: the caller then runs its
+    exact eigensolver path. False says nothing about the sign of lambda_min.
+    """
+    shift = tol / 2
+    if not shift > 0:
+        return False
+    d = matrix.shape[0]
+    shifted = matrix.copy()
+    shifted.flat[:: d + 1] += shift
+    try:
+        r = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    u = np.finfo(np.float64).eps / 2
+    k = 4 * (d + 1)
+    gamma = k * u / (1 - k * u)
+    diag = float(np.abs(matrix.diagonal()).max())
+    err = gamma * float(np.vdot(r, r).real) + u * (diag + shift)
+    return err <= tol / 4
+
+
 class DensityOperator(HermitianOperator):
-    """A HermitianOperator additionally validated trace-one and PSD."""
+    """A HermitianOperator additionally validated trace-one and PSD.
+
+    The PSD check is certified by a shifted Cholesky when it can be, and
+    otherwise decided by the minimum eigenvalue against -TOL_PSD.
+    """
 
     __slots__ = ()
 
@@ -86,6 +124,8 @@ class DensityOperator(HermitianOperator):
         tr = self.trace()
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"trace {tr!r} is not 1 within {TOL_TRACE}")
+        if _psd_certified(self.matrix, TOL_PSD):
+            return
         lo = float(np.linalg.eigvalsh(self.matrix)[0])
         if lo < -TOL_PSD:
             raise ValueError(f"minimum eigenvalue {lo:.3e} is below -{TOL_PSD}")

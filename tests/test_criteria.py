@@ -21,6 +21,8 @@ from insep import (
     min_eigenvalue,
 )
 from insep.criteria import TOL_CRIT, _best_offdiagonal, _lower_pairs
+from insep.linalg import TOL_PSD, _psd_certified
+from insep.reproduce import _soundness_specs
 from insep.states import (
     Bell,
     bell_state,
@@ -272,6 +274,50 @@ def test_map_negativity_rejects_negative_or_non_finite_tol(tol):
     with pytest.raises(ValueError, match="tolerance"):
         map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=tol)
     assert map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=0.0).verdict is Verdict.INCONCLUSIVE
+
+
+def decision_sweep():
+    """(rho, spec) over the soundness specs, GHZ and the reproduce grids."""
+    for n in range(2, 7):
+        for i in range(8):
+            rho = random_multiseparable(n, terms=1 + i % 5, seed=100 * n + i)
+            for spec in _soundness_specs(n):
+                yield rho, spec
+    for n in range(2, 9):
+        for spec in (
+            MapSpec.all_qubits(n, MapKind.P),
+            MapSpec.single(1, MapKind.P),
+            MapSpec.single(n, MapKind.T),
+        ):
+            yield ghz(n), spec
+    for s in (0, 0.5, 1, 1.5, 2, 5):  # reproduce.check_isotropic's grid
+        for bell in Bell:
+            for kind in (MapKind.P, MapKind.T):
+                yield isotropic(s, bell), MapSpec.single(2, kind)
+    for p in (0.05, 0.067, 0.1, 0.5, 0.9, 0.933, 0.95):  # check_pure_state's grid
+        yield pure_superposition(p), MapSpec.all_qubits(2, MapKind.P)
+        yield pure_superposition(p), MapSpec.single(2, MapKind.P)
+
+
+def test_map_negativity_decisions_match_the_eigensolver():
+    # The Cholesky certificate may only skip eigh where eigh says inconclusive.
+    seen = {Verdict.INSEPARABLE: 0, Verdict.INCONCLUSIVE: 0}
+    certified = 0
+    for rho, spec in decision_sweep():
+        sigma = apply_product(rho, spec).matrix
+        w, v = np.linalg.eigh(sigma)
+        report = map_negativity_check(rho, spec)
+        seen[report.verdict] += 1
+        certified += _psd_certified(sigma, TOL_PSD)
+        if w[0] < -TOL_PSD:
+            assert report.verdict is Verdict.INSEPARABLE, (rho, spec)
+            assert report.witness.min_eigenvalue == float(w[0])
+            assert report.witness.eigenvector.tobytes() == v[:, 0].tobytes()
+        else:
+            assert report.verdict is Verdict.INCONCLUSIVE, (rho, spec)
+            assert report.witness is None
+    assert min(seen.values()) > 0, seen
+    assert certified == seen[Verdict.INCONCLUSIVE], (certified, seen)
 
 
 # ---------------------------------------------------------------- lemma 2

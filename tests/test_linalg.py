@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from insep import (
-    TOL_EIG,
+    TOL_PSD,
     BlochVector,
     DensityOperator,
     HermitianOperator,
@@ -15,7 +17,13 @@ from insep import (
     partial_trace,
     tensor,
 )
+from insep.criteria import Verdict, map_negativity_check
+from insep.linalg import _psd_certified
+from insep.maps import MapKind, MapSpec, apply_product
 from insep.states import bell_state, Bell, horodecki_b
+
+# Residual allowed to the eigensolver on the O(1) random matrices below.
+EIG_RESIDUAL = 1e-10
 
 
 def random_hermitian(rng, dim):
@@ -65,7 +73,7 @@ def test_matrix_is_read_only():
 def test_density_operator_validation():
     with pytest.raises(ValueError, match="trace"):
         DensityOperator(np.eye(2))
-    with pytest.raises(ValueError, match="eigenvalue"):
+    with pytest.raises(ValueError, match=r"^minimum eigenvalue -5\.000e-01 is below -1e-09$"):
         DensityOperator(np.diag([1.5, -0.5]))
     rho = DensityOperator(np.eye(4) / 4)
     assert rho.n_qubits == 2
@@ -171,7 +179,7 @@ def test_eigenvalue_sum_equals_trace():
     for dim in (2, 4, 8, 16, 32, 64):
         op = random_hermitian(rng, dim)
         w = hermitian_eigenvalues(op)
-        assert abs(w.sum() - op.trace()) <= dim * TOL_EIG
+        assert abs(w.sum() - op.trace()) <= dim * EIG_RESIDUAL
 
 
 def charpoly_coefficients(a):
@@ -200,13 +208,99 @@ def test_eigensystem_reconstruction_residual():
         op = random_hermitian(rng, 16)
         w, v = hermitian_eigensystem(op)
         back = (v * w) @ v.conj().T
-        assert np.max(np.abs(op.matrix - back)) <= TOL_EIG
+        assert np.max(np.abs(op.matrix - back)) <= EIG_RESIDUAL
 
 
 def test_min_eigenvalue_is_first():
     rng = np.random.default_rng(6)
     op = random_hermitian(rng, 8)
     assert min_eigenvalue(op) == hermitian_eigenvalues(op)[0]
+
+
+# ---------------------------------------------------------------- PSD certificate
+
+# Minimum eigenvalues around the certificate's proven floor -3*tol/4 and the
+# exact path's threshold -tol, at tol = TOL_PSD.
+BOUNDARY = (
+    -TOL_PSD * (1 + 1e-3),
+    -TOL_PSD * (1 - 1e-3),
+    -0.75 * TOL_PSD - 1e-12,
+    -0.75 * TOL_PSD + 1e-12,
+    -TOL_PSD / 2,
+    0.0,
+    TOL_PSD,
+)
+
+
+def planted_spectrum(rng, d, low):
+    """Hermitian trace-one Q diag(lam) Q* whose smallest eigenvalue is low."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    lam = rng.uniform(0.5, 1.5, d)
+    lam[0] = 0.0
+    lam *= (1 - low) / lam.sum()
+    lam[0] = low
+    m = (q * lam) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 16, 256])
+def test_psd_certificate_boundary(d):
+    rng = np.random.default_rng(d)
+    floor = -0.75 * TOL_PSD
+    for low in BOUNDARY:
+        m = planted_spectrum(rng, d, low)
+        ref = float(np.linalg.eigvalsh(m)[0])
+        certified = _psd_certified(m, TOL_PSD)
+        # Sound: no certificate below the proven floor, planted or computed.
+        if low < floor or ref < floor - 1e-12:
+            assert not certified, (d, low, ref)
+        # Not vacuous: PSD inputs are certified.
+        if low >= 0:
+            assert certified, (d, low, ref)
+
+        accepts = ref >= -TOL_PSD
+        if accepts:
+            DensityOperator(m)
+        else:
+            message = f"minimum eigenvalue {ref:.3e} is below -{TOL_PSD}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                DensityOperator(m)
+
+        op = HermitianOperator(m)
+        spec = MapSpec.single(1, MapKind.IDENTITY)
+        w, v = np.linalg.eigh(apply_product(op, spec).matrix)
+        report = map_negativity_check(op, spec)
+        if w[0] < -TOL_PSD:
+            assert report.verdict is Verdict.INSEPARABLE
+            assert report.witness.min_eigenvalue == float(w[0])
+            assert report.witness.eigenvector.tobytes() == v[:, 0].tobytes()
+        else:
+            assert report.verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("tol", [0.0, 5e-324])
+def test_psd_certificate_declines_without_a_positive_shift(tol):
+    # 5e-324 is the smallest subnormal double, so its half rounds to 0.
+    assert _psd_certified(np.eye(4) / 4, TOL_PSD)
+    assert not _psd_certified(np.eye(4) / 4, tol)
+
+
+def test_psd_certificate_reads_the_lower_triangle():
+    # eigh and eigvalsh read the lower triangle; the factorization must too.
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = 10.0
+    assert _psd_certified(m, TOL_PSD)
+    m = np.eye(4, dtype=complex) / 4
+    m[3, 0] = 10.0
+    assert np.linalg.eigvalsh(m)[0] < 0
+    assert not _psd_certified(m, TOL_PSD)
+
+
+def test_psd_certificate_declines_nan():
+    m = np.eye(2) / 2
+    m[1, 1] = np.nan
+    assert not _psd_certified(m, TOL_PSD)
 
 
 # ---------------------------------------------------------------- hamming

@@ -203,15 +203,18 @@ def test_random_multiseparable_bytes_are_pinned():
     assert digest == "4e4c18b9f00bbdd29434b89b84c4121da4b34743c0229bb3b415963faac8e936"
 
 
-def test_random_multiseparable_runs_one_eigensolve(monkeypatch):
+def test_random_multiseparable_certifies_psd_with_one_cholesky(monkeypatch):
+    # A product mixture is PSD, so its one validation is settled by the
+    # shifted Cholesky certificate and needs no eigensolve.
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    for name in ("cholesky", "eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, a.shape))
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     rho = random_multiseparable(4, 5, seed=7)
-    assert calls == [(16, 16)]
+    assert calls == [("cholesky", (16, 16))]
     assert isinstance(rho, DensityOperator)
