@@ -31,10 +31,7 @@ from .linalg import (
     bloch_from_density,
     density_from_bloch,
     hamming,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
     min_eigenvalue,
-    partial_trace,
     tensor,
 )
 from .maps import (
@@ -43,10 +40,7 @@ from .maps import (
     apply_on_qubit,
     apply_on_qubit_dense,
     apply_product,
-    lambda_h,
     lambda_p,
-    lambda_t,
-    lambda_x,
 )
 from .states import (
     Bell,
@@ -92,21 +86,15 @@ __all__ = [
     "ghz",
     "hamming",
     "hamming_offdiagonal_check",
-    "hermitian_eigensystem",
-    "hermitian_eigenvalues",
     "horodecki_b",
     "isotropic",
-    "lambda_h",
     "lambda_p",
-    "lambda_t",
-    "lambda_x",
     "lemma1_bound_check",
     "lemma2_witness_value",
     "lz_antidiagonal_check",
     "map_negativity_check",
     "min_eigenvalue",
     "mixture_rng",
-    "partial_trace",
     "product_state",
     "pure_superposition",
     "random_bloch",

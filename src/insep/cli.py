@@ -38,10 +38,10 @@ from .criteria import (
     map_negativity_check,
 )
 from .linalg import (
+    MAX_QUBITS,
     TOL_PSD,
     DensityOperator,
     HermitianOperator,
-    hermitian_eigenvalues,
     min_eigenvalue,
 )
 from .maps import MapKind, MapSpec, apply_product
@@ -88,13 +88,15 @@ def load_operator(path) -> tuple[HermitianOperator, dict]:
         if key not in data:
             raise CliError(f"{path}: missing required field {key!r}")
     n = data["n_qubits"]
-    if not isinstance(n, int):
-        raise CliError(f"{path}: n_qubits must be an integer")
+    # A JSON true is a Python bool, which isinstance(n, int) would accept;
+    # the range check comes before 1 << n, which a huge n would exhaust.
+    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+        raise CliError(f"{path}: n_qubits must be an integer in 1..{MAX_QUBITS}")
     try:
         arr = np.array(data["entries"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: entries must be an array of [re, im] pairs: {exc}") from exc
-    d = 1 << n if n >= 0 else -1
+    d = 1 << n
     if arr.shape != (d, d, 2):
         raise CliError(f"{path}: entries shape {arr.shape} does not match {d}x{d} pairs")
     meta = data.get("meta", {})
@@ -281,7 +283,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_eigs(args) -> int:
     op, _ = load_operator(args.infile)
-    for w in hermitian_eigenvalues(op):
+    for w in np.linalg.eigvalsh(op.matrix):
         print(_fmt(w))
     return 0
 

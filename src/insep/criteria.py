@@ -20,7 +20,6 @@ from .linalg import (
     HermitianOperator,
     _psd_certified,
     hamming,
-    hermitian_eigensystem,
 )
 from .maps import MapKind, MapSpec, apply_product
 
@@ -153,7 +152,7 @@ def map_negativity_check(
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     sigma = apply_product(rho, spec)
     if not _psd_certified(sigma.matrix, tol):
-        w, v = hermitian_eigensystem(sigma)
+        w, v = np.linalg.eigh(sigma.matrix)
         if w[0] < -tol:
             witness = EigenvalueWitness(min_eigenvalue=float(w[0]), eigenvector=v[:, 0].copy())
             return DetectionReport(Verdict.INSEPARABLE, Criterion.MAP_NEGATIVITY, witness, spec)

@@ -153,30 +153,6 @@ def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(np.kron(a.matrix, b.matrix), a.n_qubits + b.n_qubits)
 
 
-def partial_trace(rho: HermitianOperator, k: int) -> HermitianOperator:
-    """Trace out qubit k (1-based): <ac|out|bd> = sum_m <amc|rho|bmd>."""
-    n = rho.n_qubits
-    if n < 2:
-        raise ValueError("need at least two qubits to trace one out")
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
-    hi = 1 << (k - 1)
-    lo = 1 << (n - k)
-    r = rho.matrix.reshape(hi, 2, lo, hi, 2, lo)
-    out = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
-    return HermitianOperator(out.reshape(hi * lo, hi * lo), n - 1)
-
-
-def hermitian_eigenvalues(op: HermitianOperator) -> np.ndarray:
-    """Real eigenvalues in ascending order."""
-    return np.linalg.eigvalsh(op.matrix)
-
-
-def hermitian_eigensystem(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and the matrix of eigenvectors as columns."""
-    return np.linalg.eigh(op.matrix)
-
-
 def min_eigenvalue(op: HermitianOperator) -> float:
     return float(np.linalg.eigvalsh(op.matrix)[0])
 

@@ -69,30 +69,11 @@ _ON_2X2 = {
 }
 
 
-def _single_qubit_map(sigma: HermitianOperator, kind: MapKind) -> HermitianOperator:
-    if sigma.n_qubits != 1:
-        raise ValueError("map is defined on a single qubit (2x2 input)")
-    return HermitianOperator(_ON_2X2[kind](sigma.matrix), 1)
-
-
 def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
     """Population averaging: diagonal entries -> their mean, coherences kept."""
-    return _single_qubit_map(sigma, MapKind.P)
-
-
-def lambda_t(sigma: HermitianOperator) -> HermitianOperator:
-    """Transpose of a 2x2 operator."""
-    return _single_qubit_map(sigma, MapKind.T)
-
-
-def lambda_h(sigma: HermitianOperator) -> HermitianOperator:
-    """Reduction map, sigma -> I*Tr(sigma) - sigma."""
-    return _single_qubit_map(sigma, MapKind.H)
-
-
-def lambda_x(sigma: HermitianOperator) -> HermitianOperator:
-    """NOT conjugation, sigma -> X sigma X."""
-    return _single_qubit_map(sigma, MapKind.X)
+    if sigma.n_qubits != 1:
+        raise ValueError("map is defined on a single qubit (2x2 input)")
+    return HermitianOperator(_p2(sigma.matrix), 1)
 
 
 @dataclass(frozen=True)
@@ -147,26 +128,23 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
     hi = 1 << (k - 1)
     lo = 1 << (n - k)
     r = rho.matrix.reshape(hi, 2, lo, hi, 2, lo)
-    out = r.copy()
+    # Only P writes into a copy; the other rules are views of r, and
+    # HermitianOperator copies whatever it is given into a fresh array.
     if kind is MapKind.P:
+        out = r.copy()
         avg = (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]) / 2
         out[:, 0, :, :, 0, :] = avg
         out[:, 1, :, :, 1, :] = avg
     elif kind is MapKind.T:
-        for x in (0, 1):
-            for y in (0, 1):
-                out[:, x, :, :, y, :] = r[:, y, :, :, x, :]
+        out = r.swapaxes(1, 4)
     elif kind is MapKind.H:
+        out = -r
         out[:, 0, :, :, 0, :] = r[:, 1, :, :, 1, :]
         out[:, 1, :, :, 1, :] = r[:, 0, :, :, 0, :]
-        out[:, 0, :, :, 1, :] = -r[:, 0, :, :, 1, :]
-        out[:, 1, :, :, 0, :] = -r[:, 1, :, :, 0, :]
     elif kind is MapKind.X:
-        for x in (0, 1):
-            for y in (0, 1):
-                out[:, x, :, :, y, :] = r[:, 1 - x, :, :, 1 - y, :]
+        out = r[:, ::-1, :, :, ::-1, :]
     elif kind is MapKind.IDENTITY:
-        pass
+        out = r
     else:
         raise TypeError(f"unknown map kind {kind!r}")
     d = rho.dim

@@ -107,6 +107,19 @@ def test_load_rejects_malformed_files(tmp_path):
         load_operator(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("n", [True, 0, -3, 13, 10**8])
+def test_load_rejects_n_qubits_out_of_range(tmp_path, capsys, n):
+    path = tmp_path / "bad.json"
+    entries = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    path.write_text(json.dumps({"n_qubits": n, "entries": entries}))
+    message = f"{path}: n_qubits must be an integer in 1..12"
+    with pytest.raises(CliError) as exc:
+        load_operator(path)
+    assert str(exc.value) == message
+    assert main(["detect", str(path), "lz"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _write_entries(path, entries):
     # json.dumps writes NaN and Infinity literals, which json.loads accepts.
     path.write_text(json.dumps({"n_qubits": 1, "entries": entries}))

@@ -11,16 +11,12 @@ from insep import (
     bloch_from_density,
     density_from_bloch,
     hamming,
-    hermitian_eigensystem,
-    hermitian_eigenvalues,
     min_eigenvalue,
-    partial_trace,
     tensor,
 )
 from insep.criteria import Verdict, map_negativity_check
 from insep.linalg import _psd_certified
 from insep.maps import MapKind, MapSpec, apply_product
-from insep.states import bell_state, Bell, horodecki_b
 
 # Residual allowed to the eigensolver on the O(1) random matrices below.
 EIG_RESIDUAL = 1e-10
@@ -121,48 +117,11 @@ def test_tensor_associativity_and_trace():
         assert abs(ab.trace() - a.trace() * b.trace()) <= 1e-10
 
 
-# ---------------------------------------------------------------- partial trace
-
-def test_partial_trace_basis_state():
-    rho = HermitianOperator(ketbra(0, 4), 2)  # |00><00|
-    out = partial_trace(rho, 2)
-    assert np.allclose(out.matrix, ketbra(0, 2))
-
-
-def test_partial_trace_bell_marginal():
-    out = partial_trace(bell_state(Bell.PHI_PLUS), 1)
-    assert np.allclose(out.matrix, np.eye(2) / 2)
-
-
-def test_partial_trace_matches_block_sum():
-    # tracing out the most significant qubit is literally summing the two
-    # diagonal 4x4 blocks
-    rho = horodecki_b(0.5)
-    m = rho.matrix
-    expected = m[:4, :4] + m[4:, 4:]
-    out = partial_trace(rho, 1)
-    assert np.max(np.abs(out.matrix - expected)) <= 1e-15
-
-
-def test_partial_trace_preserves_trace_and_validates_k():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        op = random_hermitian(rng, 8)
-        k = int(rng.integers(1, 4))
-        assert abs(partial_trace(op, k).trace() - op.trace()) <= 1e-10
-    with pytest.raises(ValueError):
-        partial_trace(random_hermitian(rng, 4), 0)
-    with pytest.raises(ValueError):
-        partial_trace(random_hermitian(rng, 4), 3)
-    with pytest.raises(ValueError):
-        partial_trace(random_hermitian(rng, 2), 1)
-
-
 # ---------------------------------------------------------------- eigenvalues
 
 def test_eigenvalues_of_diagonal():
     op = HermitianOperator(np.eye(4) / 4)
-    assert np.allclose(hermitian_eigenvalues(op), [0.25] * 4)
+    assert np.allclose(np.linalg.eigvalsh(op.matrix), [0.25] * 4)
     assert min_eigenvalue(op) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -170,7 +129,7 @@ def test_eigenvalues_quarter_diag_with_half_corners():
     # diag(1/4,...) plus 1/2 corners: eigenvalues -1/4, 1/4, 1/4, 3/4
     m = np.eye(4) / 4
     m[0, 3] = m[3, 0] = 0.5
-    got = hermitian_eigenvalues(HermitianOperator(m))
+    got = np.linalg.eigvalsh(m)
     assert np.allclose(got, [-0.25, 0.25, 0.25, 0.75], atol=1e-12)
 
 
@@ -178,7 +137,7 @@ def test_eigenvalue_sum_equals_trace():
     rng = np.random.default_rng(3)
     for dim in (2, 4, 8, 16, 32, 64):
         op = random_hermitian(rng, dim)
-        w = hermitian_eigenvalues(op)
+        w = np.linalg.eigvalsh(op.matrix)
         assert abs(w.sum() - op.trace()) <= dim * EIG_RESIDUAL
 
 
@@ -199,14 +158,14 @@ def test_eigenvalues_match_characteristic_polynomial_roots(dim):
     for _ in range(50):
         op = random_hermitian(rng, dim)
         roots = np.roots(charpoly_coefficients(op.matrix))
-        assert np.max(np.abs(np.sort(roots.real) - hermitian_eigenvalues(op))) <= 1e-8
+        assert np.max(np.abs(np.sort(roots.real) - np.linalg.eigvalsh(op.matrix))) <= 1e-8
 
 
 def test_eigensystem_reconstruction_residual():
     rng = np.random.default_rng(5)
     for _ in range(20):
         op = random_hermitian(rng, 16)
-        w, v = hermitian_eigensystem(op)
+        w, v = np.linalg.eigh(op.matrix)
         back = (v * w) @ v.conj().T
         assert np.max(np.abs(op.matrix - back)) <= EIG_RESIDUAL
 
@@ -214,7 +173,7 @@ def test_eigensystem_reconstruction_residual():
 def test_min_eigenvalue_is_first():
     rng = np.random.default_rng(6)
     op = random_hermitian(rng, 8)
-    assert min_eigenvalue(op) == hermitian_eigenvalues(op)[0]
+    assert min_eigenvalue(op) == np.linalg.eigvalsh(op.matrix)[0]
 
 
 # ---------------------------------------------------------------- PSD certificate

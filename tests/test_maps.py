@@ -10,12 +10,10 @@ from insep import (
     apply_product,
     bloch_from_density,
     density_from_bloch,
-    lambda_h,
     lambda_p,
-    lambda_t,
-    lambda_x,
     min_eigenvalue,
 )
+from insep.maps import _ON_2X2
 from insep.states import isotropic, product_state, pure_superposition, random_bloch, mixture_rng
 
 
@@ -43,20 +41,22 @@ def test_lambda_p_fixed_point():
     assert np.allclose(lambda_p(plus).matrix, plus.matrix)
 
 
+# The 2x2 rules in maps._ON_2X2 are criterion 7's dense reference.
+
 def test_lambda_t_conjugates_off_diagonal():
     c = 0.2 + 0.3j
-    sigma = HermitianOperator(np.array([[0.7, c], [np.conj(c), 0.3]]))
-    out = lambda_t(sigma)
-    assert out.matrix[0, 1] == np.conj(c)
-    assert out.matrix[1, 0] == c
-    assert out.matrix[0, 0] == 0.7
+    sigma = np.array([[0.7, c], [np.conj(c), 0.3]])
+    out = _ON_2X2[MapKind.T](sigma)
+    assert out[0, 1] == np.conj(c)
+    assert out[1, 0] == c
+    assert out[0, 0] == 0.7
 
 
 def test_lambda_h_and_x():
-    mixed = HermitianOperator(np.eye(2) / 2)
-    assert np.allclose(lambda_h(mixed).matrix, mixed.matrix)
-    out = lambda_x(HermitianOperator(np.diag([1.0, 0.0])))
-    assert np.allclose(out.matrix, np.diag([0.0, 1.0]))
+    mixed = np.eye(2) / 2
+    assert np.allclose(_ON_2X2[MapKind.H](mixed), mixed)
+    out = _ON_2X2[MapKind.X](np.diag([1.0, 0.0]))
+    assert np.allclose(out, np.diag([0.0, 1.0]))
 
 
 def test_maps_require_single_qubit():
@@ -66,17 +66,15 @@ def test_maps_require_single_qubit():
 
 def test_maps_are_linear_and_trace_preserving():
     rng = np.random.default_rng(10)
-    funcs = (lambda_p, lambda_t, lambda_h, lambda_x)
     for _ in range(30):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
+        a = random_hermitian(rng, 2).matrix
+        b = random_hermitian(rng, 2).matrix
         alpha, beta = rng.standard_normal(2)
-        combo = HermitianOperator(alpha * a.matrix + beta * b.matrix)
-        for f in funcs:
-            lhs = f(combo).matrix
-            rhs = alpha * f(a).matrix + beta * f(b).matrix
+        for f in _ON_2X2.values():
+            lhs = f(alpha * a + beta * b)
+            rhs = alpha * f(a) + beta * f(b)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
-            assert abs(f(a).trace() - a.trace()) <= 1e-10
+            assert abs(np.trace(f(a)) - np.trace(a)) <= 1e-10
 
 
 def test_lambda_p_projects_bloch_to_xy_plane():
@@ -107,6 +105,24 @@ def test_apply_identity_is_noop():
     op = random_hermitian(rng, 8)
     out = apply_on_qubit(op, 2, MapKind.IDENTITY)
     assert np.array_equal(out.matrix, op.matrix)
+
+
+@pytest.mark.parametrize("kind", list(MapKind))
+def test_apply_on_single_qubit_matches_2x2_rule(kind):
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        op = random_hermitian(rng, 2)
+        out = apply_on_qubit(op, 1, kind)
+        assert np.max(np.abs(out.matrix - _ON_2X2[kind](op.matrix))) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", list(MapKind))
+def test_apply_on_qubit_returns_a_fresh_read_only_array(kind):
+    op = random_density(np.random.default_rng(20), 3)
+    for k in (1, 2, 3):
+        out = apply_on_qubit(op, k, kind)
+        assert not out.matrix.flags.writeable
+        assert not np.shares_memory(out.matrix, op.matrix)
 
 
 def test_apply_out_of_range_qubit():
