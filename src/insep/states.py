@@ -86,6 +86,19 @@ def ghz(n: int) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()), n)
 
 
+def _kron_chain(factors) -> np.ndarray:
+    """Kronecker product of square arrays, the first leftmost.
+
+    Each step broadcasts out[i, k] * g[j, l] to index (i, j, k, l) and
+    reshapes, which forms the same products as np.kron in the same order.
+    """
+    out = factors[0]
+    for g in factors[1:]:
+        m = out.shape[0] * g.shape[0]
+        out = (out[:, None, :, None] * g[None, :, None, :]).reshape(m, m)
+    return out
+
+
 def _product_matrix(blochs) -> np.ndarray:
     """Kronecker product of the radius-checked 2x2 factors, qubit 1 leftmost."""
     factors = [_bloch_matrix(v) for v in blochs]
@@ -94,10 +107,7 @@ def _product_matrix(blochs) -> np.ndarray:
     if len(factors) > MAX_QUBITS:
         # Checked before the 4^n-entry product is built, not after.
         raise ValueError(f"{len(factors)} qubits exceeds the cap of {MAX_QUBITS}")
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+    return _kron_chain(factors)
 
 
 def product_state(blochs) -> DensityOperator:
@@ -118,6 +128,24 @@ def random_bloch(rng: np.random.Generator) -> tuple[float, float, float]:
             return float(x), float(y), float(z)
 
 
+def _bloch_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 3) array of the points `count` successive random_bloch calls return.
+
+    Triples are drawn in blocks and kept by the same test, in the same order;
+    the generator may end further advanced than the single draws leave it.
+    """
+    kept = []
+    need = count
+    while need > 0:
+        # About pi/6 of the cube lies in the ball, so this block usually suffices.
+        xyz = rng.uniform(-0.5, 0.5, (2 * need + 16, 3))
+        x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+        inside = xyz[x * x + y * y + z * z <= 0.25][:need]
+        kept.append(inside)
+        need -= len(inside)
+    return np.concatenate(kept)
+
+
 def random_multiseparable(n: int, terms: int, seed: int) -> DensityOperator:
     """Convex mixture of `terms` random n-fold product states.
 
@@ -131,8 +159,18 @@ def random_multiseparable(n: int, terms: int, seed: int) -> DensityOperator:
     rng = mixture_rng(seed)
     weights = rng.uniform(0, 1, terms)
     weights /= weights.sum()
+    xyz = _bloch_points(rng, terms * n).reshape(terms, n, 3)
+    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+    # _bloch_matrix's entries, for every factor at once; the accepted points
+    # lie in the ball, so no factor needs its radius check.
+    factors = np.empty((terms, n, 2, 2), dtype=np.complex128)
+    factors[..., 0, 0] = 0.5 + z
+    factors[..., 0, 1] = x - 1j * y
+    factors[..., 1, 0] = x + 1j * y
+    factors[..., 1, 1] = 0.5 - z
     d = 1 << n
     acc = np.zeros((d, d), dtype=np.complex128)
-    for w in weights:
-        acc += w * _product_matrix(random_bloch(rng) for _ in range(n))
+    # One term at a time keeps memory at O(d^2) rather than O(terms d^2).
+    for w, term in zip(weights, factors):
+        acc += w * _kron_chain(term)
     return DensityOperator(acc, n)

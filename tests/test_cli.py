@@ -120,6 +120,46 @@ def test_load_rejects_n_qubits_out_of_range(tmp_path, capsys, n):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "cell",
+    ['["0.5", 0]', '[" 0.5 ", 0]', '["5e-1", 0]', '[null, 0]', '[{}, 0]'],
+)
+def test_entries_that_are_not_numbers_exit_2(tmp_path, capsys, cell):
+    # dtype=float conversion would read these strings as numbers.
+    path = tmp_path / "bad.json"
+    rows = f'[[{cell}, [0, 0]], [[0, 0], [0.5, 0]]]'
+    path.write_text('{"n_qubits": 1, "entries": ' + rows + "}")
+    for args in (["eigs"], ["detect", "lz"]):
+        assert main([args[0], str(path), *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: entries must be an array of [re, im] pairs")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "[[[0.5, true], [0, 0]], [[0, 0], [0.5, 0.0]]]",
+        "[[[0.5, false], [0, 0]], [[0, 0], [0.5, 0.0]]]",
+        "[[[true, false], [false, false]], [[false, false], [true, false]]]",
+    ],
+)
+def test_booleans_exit_2(tmp_path, capsys, rows):
+    # Booleans mixed with numbers infer float64, unlike all-boolean entries.
+    path = tmp_path / "bad.json"
+    path.write_text('{"n_qubits": 1, "entries": ' + rows + "}")
+    assert main(["eigs", str(path)]) == 2
+    assert "entries must be an array of [re, im] pairs" in capsys.readouterr().err
+
+
+def test_boolean_in_meta_and_integer_entries_load(tmp_path):
+    path = tmp_path / "ok.json"
+    rows = "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]"
+    path.write_text('{"n_qubits": 1, "meta": {"flag": true}, "entries": ' + rows + "}")
+    op, meta = load_operator(path)
+    assert meta == {"flag": True}
+    assert np.array_equal(op.matrix, np.diag([1.0, 0.0]).astype(complex))
+
+
 def _write_entries(path, entries):
     # json.dumps writes NaN and Infinity literals, which json.loads accepts.
     path.write_text(json.dumps({"n_qubits": 1, "entries": entries}))

@@ -15,15 +15,20 @@ from insep import (
     min_eigenvalue,
     tensor,
 )
+from insep import states
+from insep.linalg import _bloch_matrix
 from insep.states import (
     Bell,
+    _bloch_points,
     bell_ket,
     bell_state,
     ghz,
     horodecki_b,
     isotropic,
+    mixture_rng,
     product_state,
     pure_superposition,
+    random_bloch,
     random_multiseparable,
 )
 
@@ -161,7 +166,7 @@ def test_product_state_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError, match="at least one"):
         product_state([])
     # Over the qubit cap: rejected before any Kronecker product is built.
-    monkeypatch.setattr(np, "kron", None)
+    monkeypatch.setattr(states, "_kron_chain", None)
     with pytest.raises(ValueError, match="cap"):
         product_state([(0.0, 0.0, 0.0)] * 13)
     monkeypatch.undo()
@@ -195,8 +200,8 @@ def test_random_multiseparable_validates_arguments():
 
 
 def test_random_multiseparable_bytes_are_pinned():
-    # sha256 of the matrix bytes as built by chained validated tensor products;
-    # building on plain arrays must not change a single bit.
+    # sha256 of the matrix bytes as first built, one factor at a time;
+    # building the factors in bulk must not change a single bit.
     rho = random_multiseparable(4, 3, seed=7)
     digest = hashlib.sha256(rho.matrix.tobytes()).hexdigest()
     assert digest == "4e4c18b9f00bbdd29434b89b84c4121da4b34743c0229bb3b415963faac8e936"
@@ -217,3 +222,52 @@ def test_random_multiseparable_certifies_psd_with_one_cholesky(monkeypatch):
     rho = random_multiseparable(4, 5, seed=7)
     assert calls == [("cholesky", (16, 16))]
     assert isinstance(rho, DensityOperator)
+
+
+class _CountingRng:
+    """Passes uniform() through to a generator and counts the calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def uniform(self, *args):
+        self.calls += 1
+        return self.rng.uniform(*args)
+
+
+def test_bloch_points_equal_successive_random_bloch_draws():
+    redraws = 0
+    for seed in (0, 1, 7, 42, 2**31 - 1):
+        for count in range(1, 201):
+            rng = _CountingRng(mixture_rng(seed))
+            got = _bloch_points(rng, count)
+            twin = mixture_rng(seed)
+            expected = np.array([random_bloch(twin) for _ in range(count)])
+            assert got.shape == (count, 3)
+            assert got.tobytes() == expected.tobytes()
+            redraws += rng.calls > 1
+    # Some counts must have needed a second block.
+    assert redraws > 0
+
+
+def _reference_multiseparable(n, terms, seed):
+    # The builder as first written: one factor at a time, chained np.kron.
+    rng = mixture_rng(seed)
+    weights = rng.uniform(0, 1, terms)
+    weights /= weights.sum()
+    acc = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for w in weights:
+        out = _bloch_matrix(random_bloch(rng))
+        for _ in range(n - 1):
+            out = np.kron(out, _bloch_matrix(random_bloch(rng)))
+        acc += w * out
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_multiseparable_matches_reference_builder(n):
+    for terms in range(1, 8):
+        for seed in (3, 11):
+            got = random_multiseparable(n, terms, seed).matrix
+            assert got.tobytes() == _reference_multiseparable(n, terms, seed).tobytes()
