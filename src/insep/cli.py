@@ -13,7 +13,9 @@ Operator files are JSON::
 
 ``entries`` is row-major with one ``[re, im]`` pair per element. Numbers are
 rendered with Python ``repr`` (shortest round-trip decimal, at most 17
-significant digits), which makes save -> load -> save byte-identical.
+significant digits), which makes save -> load -> save byte-identical. A file
+in exactly this layout is read with its entries parsed as one flat list; any
+other JSON file is read as nested lists, to the same values and errors.
 
 Exit codes: 0 = success (and "inseparable" for detect), 1 = inconclusive /
 failed reproduce checks, 2 = error.
@@ -22,6 +24,7 @@ failed reproduce checks, 2 = error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -95,13 +98,91 @@ def _has_word(text: str, word: str) -> bool:
     return i >= 0
 
 
-def load_operator(path) -> tuple[HermitianOperator, dict]:
+# serialize_operator's layout ends with the entries, one row a line. Each
+# entry byte is a number byte or one of "[],\n", and the entries with each
+# run of number bytes cut to one "#" are _entries_skeleton(2^n).
+_ENTRIES_MARK = b'"entries": [\n'
+_ENTRIES_END = b"\n]\n}\n"
+_NUMBER_BYTES = b"0123456789.eE+-"
+# bytes.translate tables: 0 for a number byte and 1 for any other; the
+# skeleton byte ("#" for a number byte, 0 for a byte the layout never has);
+# and the entries as one flat list, brackets and newlines made spaces.
+_NOT_NUMBER = bytes(c not in _NUMBER_BYTES for c in range(256))
+_SKELETON = bytes(ord("#") if c in _NUMBER_BYTES else c if c in b"[],\n" else 0 for c in range(256))
+_FLAT = bytes(ord(" ") if c in b"[]\n" else c for c in range(256))
+
+
+def _entries_skeleton(d: int) -> bytes:
+    row = b"[" + b",".join([b"[#,#]"] * d) + b"]"
+    return b",\n".join([row] * d)
+
+
+def _read_written_layout(path):
+    """(n, entries as a (d, d, 2) float array, data) of a file in the written layout.
+
+    Returns None for a file in any other layout, or whose head or numbers do
+    not parse; _read_json_operator then reads it and gives every error. The
+    head is decoded as Path.read_text decodes (a BOM or a bad byte fails its
+    parse), and json's own scanner parses every number, so a file read here
+    gives the values the nested reader would. The entries are parsed as one
+    flat JSON list, not as d*d pair lists. They are checked through views of
+    the raw bytes, which are released before the numbers are parsed.
+    """
     try:
-        text = Path(path).read_text()
-        data = json.loads(text)
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    cut = raw.rfind(_ENTRIES_MARK)
+    start = cut + len(_ENTRIES_MARK)
+    if cut < 0 or not raw.endswith(_ENTRIES_END, start):
+        return None
+    try:
+        head = io.TextIOWrapper(io.BytesIO(raw[:cut]), encoding=io.text_encoding(None)).read()
+        # The closing brace ends the top-level value, so data is a dict and
+        # these entries are its last key, which json keeps over any earlier one.
+        data = json.loads(head + '"entries": []}')
+    except (ValueError, RecursionError):
+        return None
+    n = data.get("n_qubits")
+    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+        return None
+    d = 1 << n
+    size = len(raw) - len(_ENTRIES_END) - start
+    body = np.frombuffer(raw, dtype=np.uint8, count=size, offset=start)
+    other = np.frombuffer(raw.translate(_NOT_NUMBER), dtype=bool, count=size, offset=start)
+    # Keep every byte but a number byte that follows a number byte.
+    keep = other | np.concatenate(([True], other[:-1]))
+    if body[keep].tobytes().translate(_SKELETON) != _entries_skeleton(d):
+        return None
+    del body, other, keep
+    # "\n" + entries + "\n", then "[" + flat entries + "]".
+    flat = bytearray(memoryview(raw)[start - 1 : start + size + 1])
+    del raw
+    flat = flat.translate(_FLAT)
+    flat[0], flat[-1] = ord("["), ord("]")
+    text = flat.decode("ascii")
+    del flat
+    try:
+        values = json.loads(text)
+    except ValueError:
+        return None
+    del text
+    arr = np.array(values)
+    del values
+    if arr.dtype.kind not in "iuf":
+        return None
+    return n, arr.astype(float, copy=False).reshape(d, d, 2), data
+
+
+def _read_json_operator(path):
+    """(n, entries as a float array, data) of any JSON operator file."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     # Only a file with a true or false literal can hide a boolean among the
     # entries. The text is released before the entries become arrays, so it
@@ -131,6 +212,11 @@ def load_operator(path) -> tuple[HermitianOperator, dict]:
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{path}: entries must be an array of [re, im] pairs: {exc}") from exc
+    return n, arr, data
+
+
+def load_operator(path) -> tuple[HermitianOperator, dict]:
+    n, arr, data = _read_written_layout(path) or _read_json_operator(path)
     d = 1 << n
     if arr.shape != (d, d, 2):
         raise CliError(f"{path}: entries shape {arr.shape} does not match {d}x{d} pairs")
@@ -299,7 +385,7 @@ def _print_report(report: DetectionReport) -> None:
 def _cmd_detect(args) -> int:
     op, _ = load_operator(args.infile)
     try:
-        rho = DensityOperator(op.matrix, op.n_qubits)
+        rho = DensityOperator(op)
     except ValueError as exc:
         raise CliError(f"{args.infile}: not a density operator: {exc}") from exc
     if args.method == "lz":

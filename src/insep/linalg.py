@@ -114,13 +114,18 @@ class DensityOperator(HermitianOperator):
     """A HermitianOperator additionally validated trace-one and PSD.
 
     The PSD check is certified by a shifted Cholesky when it can be, and
-    otherwise decided by the minimum eigenvalue against -TOL_PSD.
+    otherwise decided by the minimum eigenvalue against -TOL_PSD. Given a
+    HermitianOperator and no qubit count, it shares that operator's read-only
+    matrix, with no copy and no second Hermiticity check.
     """
 
     __slots__ = ()
 
     def __init__(self, matrix, n_qubits: int | None = None):
-        super().__init__(matrix, n_qubits)
+        if isinstance(matrix, HermitianOperator) and n_qubits is None:
+            self.matrix, self.n_qubits = matrix.matrix, matrix.n_qubits
+        else:
+            super().__init__(matrix, n_qubits)
         tr = self.trace()
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"trace {tr!r} is not 1 within {TOL_TRACE}")

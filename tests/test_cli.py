@@ -192,6 +192,165 @@ def test_apply_out_writes_nothing_for_non_finite_input(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("args", [["eigs"], ["detect", "lz"]])
+def test_unreadable_and_too_deep_files_name_the_path(tmp_path, capsys, args):
+    bad_byte = tmp_path / "bad_byte.json"
+    bad_byte.write_bytes(b'{"n_qubits": 1, "meta": {"x\xff": 1}, "entries": [[[1,0],[0,0]],[[0,0],[0,0]]]}')
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n_qubits": 1, "entries": ' + "[" * 3000 + "]" * 3000 + "}")
+    for path, message in [
+        (bad_byte, f"cannot read {bad_byte}: 'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
+        (deep, f"{deep} is not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ]:
+        assert main([args[0], str(path), *args[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _written_layout(real_rows):
+    # serialize_operator's layout for a real 2x2 matrix, Hermitian or not.
+    rows = ",\n".join("[" + ",".join(f"[{float(x)!r},0.0]" for x in row) + "]" for row in real_rows)
+    return '{\n"n_qubits": 1,\n"meta": {},\n"entries": [\n' + rows + "\n]\n}\n"
+
+
+@pytest.mark.parametrize("method", [["lz"], ["map", "--spec", "1:P"]])
+@pytest.mark.parametrize("layout", ["written", "json.dumps"])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.5, 1.0], [0.0, 0.5]], "matrix is not Hermitian (max deviation 1.000e+00)"),
+        ([[1.0, 0.0], [0.0, 1.0]], "not a density operator: trace 2.0 is not 1 within 1e-10"),
+        ([[1.5, 0.0], [0.0, -0.5]], "not a density operator: minimum eigenvalue -5.000e-01 is below -1e-09"),
+    ],
+)
+def test_detect_rejects_files_that_are_not_states(tmp_path, capsys, method, layout, matrix, message):
+    path = tmp_path / "bad.json"
+    if layout == "written":
+        path.write_text(_written_layout(matrix))
+    else:
+        _write_entries(path, [[[x, 0.0] for x in row] for row in matrix])
+    assert main(["detect", str(path), *method]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+# ---------------------------------------------------------------- the reader's two paths
+
+def _load_result(path):
+    try:
+        op, meta = load_operator(path)
+    except CliError as exc:
+        return str(exc)
+    return op.matrix.tobytes(), repr(meta)
+
+
+def _gen_files(tmp_path):
+    runs = [
+        ["horodecki-b", "b=0.1", "label=fixture"],
+        ["isotropic", "s=0.5", "bell=psi-"],
+        ["pure-p", "p=0.3", "label=a b"],
+        ["ghz", "n=3"],
+        ["random-msep", "n=2", "terms=2", "seed=5", "label=r"],
+    ]
+    paths = []
+    for i, argv in enumerate(runs):
+        path = tmp_path / f"gen{i}.json"
+        assert main(["gen", *argv, "--out", str(path)]) == 0
+        paths.append(path)
+    return paths
+
+
+def test_written_files_take_the_flat_path(tmp_path, monkeypatch, capsys):
+    def no_fallback(path):
+        raise AssertionError(f"{path} fell back to the nested reader")
+
+    monkeypatch.setattr(cli, "_read_json_operator", no_fallback)
+    paths = _gen_files(tmp_path)
+    for n in (4, 6):
+        for family in (["ghz", f"n={n}"], ["random-msep", f"n={n}", "seed=2"]):
+            paths.append(tmp_path / f"{family[0]}{n}.json")
+            assert main(["gen", *family, "--out", str(paths[-1])]) == 0
+    for path in list(paths):
+        out = path.with_suffix(".applied.json")
+        assert main(["apply", str(path), "all:P", "--out", str(out)]) == 0
+        paths.append(out)
+    capsys.readouterr()
+    for path in paths:
+        op, meta = load_operator(path)
+        assert serialize_operator(op, meta).encode() == path.read_bytes()
+
+
+_FUZZ_ALPHABET = b'0123456789.eE+-,[]\n "tN{}:'
+_LONG_INTEGER = "7" * 400
+
+
+def _whole_file_cases(text):
+    head, sep, rest = text.partition('"entries": [\n')
+    rows = rest[: -len("\n]\n}\n")]
+    deep = "[" * 3000 + "]" * 3000
+    return [
+        text.replace("\n", "\r\n").encode(),
+        b"\xef\xbb\xbf" + text.encode(),
+        (head + '"entries": [\n[[1,0],[0,0]],\n[[0,0],[0,0]]\n],\n' + sep + rest).encode(),
+        (head + '"entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],\n"meta": {"entries": [[0]]},\n' + sep + rest).encode(),
+        (head.replace('"meta": {', '"meta": {"entries": [\n' + rows + '\n],') + sep + rest).encode(),
+        ('{\n"n_qubits": 1,\n"meta": {"entries": [\n' + rows + "\n]\n}\n").encode(),
+        text.encode() + b" ",
+        text.replace("}\n", "} \n").encode(),
+        (head.replace('"meta": {', '"meta": {"deep": ' + deep + ",") + sep + rest).encode(),
+        (head + '"entries": [\n' + rows.replace("]", "]\n", 1) + "\n]\n}\n").encode(),
+    ]
+
+
+def _token_cases(text):
+    # Each token in place of the first real part, and of the first imaginary part.
+    tokens = ["-0", "-0.0", "01", "+1", ".5", "5.", "1E+05", "1e-400", _LONG_INTEGER, "NaN", "Infinity", "-Infinity", "1e400"]
+    head, sep, rest = text.partition('"entries": [\n[[')
+    real, comma, rest = rest.partition(",")
+    imag, bracket, rest = rest.partition("]")
+    cases = []
+    for token in tokens:
+        cases.append((head + sep + token + comma + imag + bracket + rest).encode())
+        cases.append((head + sep + real + comma + token + bracket + rest).encode())
+    return cases
+
+
+def test_flat_reader_matches_the_nested_reader(tmp_path, monkeypatch):
+    # Every case must give the same matrix bytes (signed zeros included) and
+    # meta as the nested JSON reader, or the same error.
+    rng = np.random.default_rng(20240917)
+    originals = [p.read_bytes() for p in _gen_files(tmp_path)]
+    originals.append(_written_layout([[1.0, 0.0], [0.0, 0.0]]).encode())
+    cases = []
+    for raw in originals:
+        cases.append(raw)
+        cases += _whole_file_cases(raw.decode())
+        cases += _token_cases(raw.decode())
+    for _ in range(3000):
+        data = bytearray(originals[rng.integers(len(originals))])
+        for _ in range(rng.integers(1, 4)):
+            at = int(rng.integers(len(data)))
+            byte = _FUZZ_ALPHABET[rng.integers(len(_FUZZ_ALPHABET))]
+            kind = rng.integers(3)
+            if kind == 0:
+                data[at] = byte
+            elif kind == 1:
+                data.insert(at, byte)
+            else:
+                del data[at]
+        cases.append(bytes(data))
+    path = tmp_path / "case.json"
+    flat_reads = 0
+    for raw in cases:
+        path.write_bytes(raw)
+        flat_reads += cli._read_written_layout(path) is not None
+        got = _load_result(path)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_written_layout", lambda path: None)
+            want = _load_result(path)
+        assert got == want, raw
+    # Both paths ran: the fast path read some mutated files as well.
+    assert len(originals) < flat_reads < len(cases)
+
+
 # ---------------------------------------------------------------- map specs
 
 def test_parse_map_spec_grammar():

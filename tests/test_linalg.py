@@ -75,6 +75,17 @@ def test_density_operator_validation():
     assert rho.n_qubits == 2
 
 
+def test_density_operator_shares_a_validated_matrix():
+    op = HermitianOperator(np.eye(4) / 4)
+    rho = DensityOperator(op)
+    assert rho.matrix is op.matrix
+    assert rho.n_qubits == 2
+    with pytest.raises(ValueError, match=r"^trace 2\.0 is not 1 within 1e-10$"):
+        DensityOperator(HermitianOperator(np.eye(2)))
+    with pytest.raises(ValueError, match=r"^minimum eigenvalue -5\.000e-01 is below -1e-09$"):
+        DensityOperator(HermitianOperator(np.diag([1.5, -0.5])))
+
+
 def test_bloch_vector_ball_invariant():
     BlochVector(0.3, -0.3, 0.2)
     with pytest.raises(ValueError, match="Bloch ball"):
