@@ -60,18 +60,31 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _pairs_template(count: int) -> str:
+    """A %-template for a list of `count` [re,im] pairs.
+
+    Filled with the Python floats of a complex128 array's float64 view
+    (re, im, re, im, ...); %r of a float is its repr, the text _fmt gives.
+    """
+    return "[" + ",".join(["[%r,%r]"] * count) + "]"
+
+
 def serialize_operator(op: HermitianOperator, meta: dict | None = None) -> str:
-    rows = []
-    for row in op.matrix:
-        cells = ",".join(f"[{_fmt(c.real)},{_fmt(c.imag)}]" for c in row)
-        rows.append(f"[{cells}]")
     meta_json = json.dumps(meta or {}, sort_keys=True, separators=(",", ":"))
-    return (
+    row_template = _pairs_template(op.dim)
+    # One join over head, rows and separators: joining the rows first and
+    # then adding head and tail would copy the whole text once more.
+    parts = [
         "{\n"
         f'"n_qubits": {op.n_qubits},\n'
         f'"meta": {meta_json},\n'
-        '"entries": [\n' + ",\n".join(rows) + "\n]\n}\n"
-    )
+        '"entries": [\n'
+    ]
+    for row in op.matrix.view(np.float64):
+        parts.append(row_template % tuple(row.tolist()))
+        parts.append(",\n")
+    parts[-1] = "\n]\n}\n"
+    return "".join(parts)
 
 
 def save_operator(path, op: HermitianOperator, meta: dict | None = None) -> None:
@@ -378,8 +391,8 @@ def _print_report(report: DetectionReport) -> None:
         print(f"bound: {_fmt(w.bound)}")
     elif isinstance(w, EigenvalueWitness):
         print(f"min-eigenvalue: {_fmt(w.min_eigenvalue)}")
-        vec = ",".join(f"[{_fmt(c.real)},{_fmt(c.imag)}]" for c in w.eigenvector)
-        print(f"eigenvector: [{vec}]")
+        v = w.eigenvector
+        print("eigenvector: " + _pairs_template(v.size) % tuple(v.view(np.float64).tolist()))
 
 
 def _cmd_detect(args) -> int:
@@ -404,8 +417,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_eigs(args) -> int:
     op, _ = load_operator(args.infile)
-    for w in np.linalg.eigvalsh(op.matrix):
-        print(_fmt(w))
+    print("\n".join(map(repr, np.linalg.eigvalsh(op.matrix).tolist())))
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -58,6 +59,8 @@ def horodecki_b(b: float) -> DensityOperator:
 
 def isotropic(s: float, bell: Bell = Bell.PHI_PLUS) -> DensityOperator:
     """Two-qubit isotropic state (|phi><phi| + s*I/4)/(1+s), s <= -4 or s >= 0."""
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if -4 < s < 0:
         raise ValueError(f"s must satisfy s <= -4 or s >= 0, got {s}")
     proj = bell_state(bell).matrix
@@ -117,6 +120,8 @@ def product_state(blochs) -> DensityOperator:
 
 def mixture_rng(seed: int) -> np.random.Generator:
     """The package's reproducible generator: Philox (counter-based), raw key."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in 0..2**128 - 1, got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

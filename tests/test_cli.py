@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from insep import DensityOperator, cli, reproduce
+from insep import DensityOperator, HermitianOperator, cli, reproduce
 from insep.cli import load_operator, main, parse_map_spec, save_operator, serialize_operator, CliError
-from insep.maps import MapKind, MapSpec
-from insep.states import Bell
+from insep.maps import MapKind, MapSpec, apply_product
+from insep.states import Bell, random_multiseparable
 
 
 @pytest.fixture
@@ -85,6 +86,22 @@ def test_gen_random_msep_is_seed_reproducible(tmp_path):
 def test_gen_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_gen_isotropic_non_finite_s_is_one_error_line(capsys, s):
+    assert main(["gen", "isotropic", f"s={s}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: s must be finite, got {s}"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_gen_out_of_range_seed_names_the_parameter(capsys, seed):
+    assert main(["gen", "random-msep", "n=3", f"seed={seed}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: seed must be an integer in 0..2**128 - 1, got {seed}"
+    ]
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -351,6 +368,94 @@ def test_flat_reader_matches_the_nested_reader(tmp_path, monkeypatch):
     assert len(originals) < flat_reads < len(cases)
 
 
+# ---------------------------------------------------------------- writer
+
+def _per_cell_serialize(op, meta=None):
+    # The writer as first written: one f-string per numpy complex element.
+    rows = []
+    for row in op.matrix:
+        cells = ",".join(f"[{repr(float(c.real))},{repr(float(c.imag))}]" for c in row)
+        rows.append(f"[{cells}]")
+    meta_json = json.dumps(meta or {}, sort_keys=True, separators=(",", ":"))
+    return (
+        "{\n"
+        f'"n_qubits": {op.n_qubits},\n'
+        f'"meta": {meta_json},\n'
+        '"entries": [\n' + ",\n".join(rows) + "\n]\n}\n"
+    )
+
+
+# Signed zeros, subnormals, the smallest normal, where repr switches to and
+# from exponent form, the largest float and a classic shortest-repr case.
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+    1e-05, 0.0001, 1.7976931348623157e308, 0.30000000000000004, 1.0,
+]
+_EDGE_FLOATS += [-x for x in _EDGE_FLOATS if x]
+
+
+def test_writer_matches_per_cell_formatter_on_edge_values():
+    for re in _EDGE_FLOATS:
+        for im in _EDGE_FLOATS:
+            m = np.array(
+                [[complex(re, -0.0), complex(re, im)], [complex(re, -im), complex(im, 0.0)]]
+            )
+            op = HermitianOperator(m, 1)
+            assert serialize_operator(op, {"re": re}) == _per_cell_serialize(op, {"re": re})
+
+
+def test_writer_matches_per_cell_formatter_on_seeded_matrices():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        d = 1 << n
+        for _ in range(30):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            a *= 10.0 ** rng.integers(-30, 30, (d, d))
+            op = HermitianOperator(a + a.conj().T, n)
+            assert serialize_operator(op) == _per_cell_serialize(op)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("horodecki-b", {"b": "0.1", "label": "fixture"}),
+        ("isotropic", {"s": "0.5", "bell": "psi-"}),
+        ("isotropic", {"s": "-5", "bell": "phi-", "label": "x \"y\" \u00fc"}),
+        ("pure-p", {"p": "0.3"}),
+        ("ghz", {"n": "4", "label": ""}),
+        ("random-msep", {"n": "3", "terms": "2", "seed": "5"}),
+    ],
+)
+def test_gen_writes_the_per_cell_text(tmp_path, family, params):
+    op, meta = cli._generate(family, dict(params))
+    path = tmp_path / "out.json"
+    assert main(["gen", family, *(f"{k}={v}" for k, v in params.items()), "--out", str(path)]) == 0
+    assert path.read_text() == _per_cell_serialize(op, meta)
+
+
+def test_apply_out_writes_the_per_cell_text(tmp_path):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    assert main(["gen", "random-msep", "n=3", "seed=4", "label=m", "--out", str(src)]) == 0
+    assert main(["apply", str(src), "all:P", "--out", str(out)]) == 0
+    op, meta = load_operator(src)
+    spec = parse_map_spec("all:P", 3)
+    expected = _per_cell_serialize(apply_product(op, spec), {**meta, "applied": str(spec)})
+    assert out.read_text() == expected
+
+
+def test_writer_peak_memory_is_about_twice_the_text():
+    # Joining the rows and then adding head and tail would hold three copies
+    # of the text at the peak; one join over all the parts holds two.
+    op = random_multiseparable(8, 4, 0)
+    tracemalloc.start()
+    try:
+        text = serialize_operator(op, {"generator": "random-msep"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
 # ---------------------------------------------------------------- map specs
 
 def test_parse_map_spec_grammar():
@@ -434,6 +539,17 @@ def test_detect_map_reports_eigenvalue_witness(bell_file, capsys):
     assert low == pytest.approx(-0.25, abs=1e-12)
 
 
+def test_detect_map_prints_the_pinned_eigenvector_line(tmp_path, capsys):
+    path = tmp_path / "ghz3.json"
+    assert main(["gen", "ghz", "n=3", "--out", str(path)]) == 0
+    assert main(["detect", str(path), "map", "--spec", "all:P"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "min-eigenvalue: -0.3749999999999999",
+        "eigenvector: [[-0.7071067811865475,0.0],[0.0,0.0],[0.0,0.0],[0.0,0.0],"
+        "[0.0,0.0],[0.0,0.0],[0.0,0.0],[0.7071067811865475,0.0]]",
+    ]
+
+
 def test_detect_tol_override_relaxes_verdict(tmp_path, capsys):
     path = tmp_path / "iso.json"
     main(["gen", "isotropic", "s=0.99", "--out", str(path)])
@@ -493,6 +609,15 @@ def test_eigs_prints_ascending(bell_file, capsys):
     values = [float(line) for line in capsys.readouterr().out.splitlines()]
     assert values == sorted(values)
     assert values == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
+
+
+def test_eigs_prints_the_pinned_lines(tmp_path, capsys):
+    path = tmp_path / "r2.json"
+    assert main(["gen", "random-msep", "n=2", "--out", str(path)]) == 0
+    assert main(["eigs", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "0.11423602961404462\n0.15247744987094874\n0.29593516650378077\n0.4373513540112259\n"
+    )
 
 
 # ---------------------------------------------------------------- usage errors

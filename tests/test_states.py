@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ def test_isotropic_large_s_approaches_maximally_mixed():
 def test_isotropic_rejects_forbidden_interval():
     for s in (-0.5, -2.0, -3.999):
         with pytest.raises(ValueError):
+            isotropic(s)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_isotropic_rejects_non_finite_s_before_any_arithmetic(s):
+    # With warnings as errors a numpy RuntimeWarning would escape instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="s must be finite"):
             isotropic(s)
 
 
@@ -271,3 +281,14 @@ def test_random_multiseparable_matches_reference_builder(n):
         for seed in (3, 11):
             got = random_multiseparable(n, terms, seed).matrix
             assert got.tobytes() == _reference_multiseparable(n, terms, seed).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, -(2**200)])
+def test_mixture_rng_rejects_out_of_range_seeds(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in 0\.\.2\*\*128 - 1"):
+        mixture_rng(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+def test_mixture_rng_accepts_both_ends_of_the_seed_range(seed):
+    assert 0 <= mixture_rng(seed).uniform() < 1
