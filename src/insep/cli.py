@@ -396,6 +396,9 @@ def _print_report(report: DetectionReport) -> None:
 
 
 def _cmd_detect(args) -> int:
+    for flag, value in (("--spec", args.spec), ("--tol", args.tol)):
+        if args.method != "map" and value is not None:
+            raise CliError(f"{flag} applies only to method 'map', not {args.method!r}")
     op, _ = load_operator(args.infile)
     try:
         rho = DensityOperator(op)

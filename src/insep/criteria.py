@@ -27,9 +27,9 @@ from .maps import MapKind, MapSpec, apply_product
 # as not exceeding it, so the checks never over-claim.
 TOL_CRIT = 1e-9
 
-# The all-pairs scan is O(4^n); cap the dense scan well below the package's
-# qubit cap.
-FULL_SCAN_MAX_QUBITS = 8
+# Rows per block of the all-pairs scan: its scratch arrays hold 256·2^n
+# entries, so it runs to the package's 12-qubit cap.
+_BLOCK_ROWS = 256
 
 
 class Verdict(Enum):
@@ -78,30 +78,29 @@ class DetectionReport:
             raise ValueError("an inseparability verdict requires a witness")
 
 
-def _lower_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair d > a > b in row-major (lexicographic) order.
+def _best_offdiagonal(blocks) -> OffDiagonalWitness | None:
+    """Largest bound violation |m_ab| - 2^-h(a,b) over the pairs a > b of blocks.
 
-    Hermiticity makes the upper triangle redundant.
+    Each block is (values, a, b) with values[i, j] = m[a[i, 0], b[i, j]]: a is
+    a column of row indices and b broadcasts against it. Pairs with a <= b
+    are masked out, as Hermiticity makes them redundant. Blocks come in
+    lexicographic order and only a strictly larger margin replaces the best,
+    so the smallest (a, b) wins a tie, which keeps witnesses deterministic.
     """
-    i = np.arange(d)
-    return np.nonzero(i[:, None] > i)
-
-
-def _best_offdiagonal(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> OffDiagonalWitness | None:
-    """Largest bound violation |m_ab| - 2^-h(a,b) over the given pairs.
-
-    The pairs come in lexicographic order, so the first maximal margin is the
-    smallest (a, b) among ties, which keeps witnesses deterministic.
-    """
-    h = np.bitwise_count(a ^ b)
-    margins = np.abs(matrix[a, b]) - 0.5**h
-    k = int(np.argmax(margins))
-    if margins[k] <= TOL_CRIT:
+    best, found = TOL_CRIT, None
+    for values, a, b in blocks:
+        ab = a ^ b
+        margins = np.abs(values) - 0.5 ** np.bitwise_count(ab)
+        margins[a <= b] = -np.inf
+        k = int(margins.argmax())
+        if margins.item(k) > best:
+            best, found = margins.item(k), (values, a, ab, k)
+    if found is None:
         return None
-    a, b = int(a[k]), int(b[k])
-    return OffDiagonalWitness(
-        a=a, b=b, value=complex(matrix[a, b]), hamming_distance=int(h[k]), bound=float(0.5 ** h[k])
-    )
+    values, a, ab, k = found
+    row, diff = a.item(k // values.shape[1]), ab.item(k)
+    h = diff.bit_count()
+    return OffDiagonalWitness(a=row, b=row ^ diff, value=values.item(k), hamming_distance=h, bound=0.5**h)
 
 
 def _offdiagonal_report(criterion: Criterion, witness: OffDiagonalWitness | None) -> DetectionReport:
@@ -117,8 +116,9 @@ def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
     (1/2)^n; product mixtures cannot exceed that bound.
     """
     d = 1 << rho.n_qubits
-    a = np.arange(d // 2, d)
-    witness = _best_offdiagonal(rho.matrix, a, d - 1 - a)
+    a = np.arange(d // 2, d)[:, None]
+    b = d - 1 - a
+    witness = _best_offdiagonal([(rho.matrix[a, b], a, b)])
     return _offdiagonal_report(Criterion.LZ_ANTIDIAGONAL, witness)
 
 
@@ -126,13 +126,13 @@ def hamming_offdiagonal_check(rho: DensityOperator) -> DetectionReport:
     """General off-diagonal criterion, bound 1/2^h(a,b) per element.
 
     Subsumes lz_antidiagonal_check (its h = n case). Reports the witness
-    maximizing |c_ab| - 1/2^h(a,b) when any margin exceeds TOL_CRIT.
+    maximizing |c_ab| - 1/2^h(a,b) when any margin exceeds TOL_CRIT. Scans
+    the lower triangle in blocks of _BLOCK_ROWS rows.
     """
-    if rho.n_qubits > FULL_SCAN_MAX_QUBITS:
-        raise ValueError(
-            f"dense all-pairs scan is capped at {FULL_SCAN_MAX_QUBITS} qubits, got {rho.n_qubits}"
-        )
-    witness = _best_offdiagonal(rho.matrix, *_lower_pairs(1 << rho.n_qubits))
+    m = rho.matrix
+    i = np.arange(m.shape[0])
+    rows = (slice(a0, a0 + _BLOCK_ROWS) for a0 in range(0, m.shape[0], _BLOCK_ROWS))
+    witness = _best_offdiagonal((m[r, : r.stop], i[r, None], i[: r.stop]) for r in rows)
     return _offdiagonal_report(Criterion.HAMMING_OFFDIAGONAL, witness)
 
 
@@ -177,18 +177,16 @@ def lemma2_witness_value(sigma: HermitianOperator, a: int, b: int) -> float:
     return float((m[a, a] + m[b, b]).real - 2 * abs(s_ab))
 
 
-def equal_argument_check(
-    rho: HermitianOperator, tol_arg: float = 1e-9, zero_tol: float = 1e-12
-) -> bool:
+def equal_argument_check(rho: HermitianOperator) -> bool:
     """True iff all nonzero lower-triangle elements share one complex argument.
 
-    Elements with modulus <= zero_tol are exempt (their argument is
-    undefined). Phases are compared as angles between complex numbers, so the
-    +-pi wraparound is handled.
+    Elements with modulus <= 1e-12 are exempt (their argument is undefined).
+    Phases are compared as angles between complex numbers, to within 1e-9
+    rad, so the +-pi wraparound is handled.
     """
-    c = rho.matrix[_lower_pairs(rho.matrix.shape[0])]
-    c = c[np.abs(c) > zero_tol]
-    return c.size == 0 or not np.any(np.abs(np.angle(c * np.conj(c[0]))) > tol_arg)
+    c = rho.matrix[np.tril_indices(rho.matrix.shape[0], -1)]
+    c = c[np.abs(c) > 1e-12]
+    return c.size == 0 or not np.any(np.abs(np.angle(c * np.conj(c[0]))) > 1e-9)
 
 
 def lemma1_bound_check(rho: HermitianOperator, a: int, b: int) -> bool:

@@ -567,6 +567,26 @@ def test_detect_rejects_bad_tol(tmp_path, capsys, tol):
     assert "tolerance" in captured.err
 
 
+@pytest.mark.parametrize("flag", [["--spec", "1:P"], ["--tol", "-5"], ["--tol", "0.01"]])
+@pytest.mark.parametrize("method", ["lz", "hamming"])
+def test_detect_rejects_map_flags_for_other_methods(tmp_path, capsys, method, flag):
+    path = tmp_path / "ghz3.json"
+    main(["gen", "ghz", "n=3", "--out", str(path)])
+    assert main(["detect", str(path), method, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[0]} applies only to method 'map', not {method!r}\n"
+
+
+def test_detect_hamming_answers_beyond_eight_qubits(tmp_path, capsys):
+    path = tmp_path / "ghz9.json"
+    main(["gen", "ghz", "n=9", "--out", str(path)])
+    assert main(["detect", str(path), "hamming"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: inseparable" in out
+    assert "witness-element: (511, 0)" in out
+
+
 @pytest.mark.parametrize(
     "exc, message",
     [

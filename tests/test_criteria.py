@@ -20,7 +20,7 @@ from insep import (
     map_negativity_check,
     min_eigenvalue,
 )
-from insep.criteria import TOL_CRIT, _best_offdiagonal, _lower_pairs
+from insep.criteria import TOL_CRIT, _best_offdiagonal
 from insep.linalg import TOL_PSD, _psd_certified
 from insep.reproduce import _soundness_specs
 from insep.states import (
@@ -121,10 +121,36 @@ def test_hamming_inconclusive_on_product_states():
         assert hamming_offdiagonal_check(rho).verdict is Verdict.INCONCLUSIVE
 
 
-def test_hamming_scan_cap():
-    rho = DensityOperator(np.eye(512) / 512, 9)
-    with pytest.raises(ValueError, match="capped"):
-        hamming_offdiagonal_check(rho)
+def full_matrix_witness(m):
+    """First maximal |m_ab| - 2^-h(a,b) over the whole lower triangle, or None."""
+    a, b = np.tril_indices(m.shape[0], -1)
+    margins = np.abs(m[a, b]) - 0.5 ** np.bitwise_count(a ^ b)
+    k = int(np.argmax(margins))
+    return None if margins[k] <= TOL_CRIT else (int(a[k]), int(b[k]))
+
+
+def test_hamming_tie_across_row_blocks_goes_to_the_smaller_pair():
+    # equal margins 0.2 - 2^-8 in the 256-row blocks 1 and 3, both with h = 8
+    m = np.zeros((1024, 1024), dtype=complex)
+    for a, b in ((467, 300), (1000, 791)):
+        assert (a ^ b).bit_count() == 8
+        m[a, a] = m[b, b] = 0.25
+        m[a, b] = m[b, a] = 0.2
+    w = hamming_offdiagonal_check(DensityOperator(m, 10)).witness
+    assert (w.a, w.b, w.value, w.hamming_distance) == (467, 300, 0.2, 8)
+    assert full_matrix_witness(m) == (467, 300)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_hamming_beyond_one_block_matches_the_full_matrix_scan(n):
+    d = 1 << n
+    noisy = DensityOperator(0.5 * ghz(n).matrix + 0.5 * np.eye(d) / d, n)
+    w = hamming_offdiagonal_check(noisy).witness
+    assert (w.a, w.b) == full_matrix_witness(noisy.matrix) == (d - 1, 0)
+    for seed in (1, 2):
+        rho = random_multiseparable(n, 3, seed)
+        assert full_matrix_witness(rho.matrix) is None
+        assert hamming_offdiagonal_check(rho).verdict is Verdict.INCONCLUSIVE
 
 
 def test_subsumption_of_antidiagonal_check():
@@ -149,7 +175,8 @@ def test_witness_tie_breaks_lexicographically():
     m = np.zeros((4, 4), dtype=complex)
     m[3, 0] = m[0, 3] = 0.3
     m[2, 1] = m[1, 2] = 0.3
-    w = _best_offdiagonal(m, *_lower_pairs(4))
+    i = np.arange(4)
+    w = _best_offdiagonal([(m, i[:, None], i)])
     assert (w.a, w.b) == (2, 1)
 
 
