@@ -365,10 +365,11 @@ def _cmd_apply(args) -> int:
     op, meta = load_operator(args.infile)
     spec = parse_map_spec(args.spec, op.n_qubits)
     out = apply_product(op, spec)
-    print(f"trace {_fmt(out.trace())}")
-    print(f"min-eigenvalue {_fmt(min_eigenvalue(out))}")
+    # Written first, so a path that cannot be written prints no result.
     if args.out:
         save_operator(args.out, out, {**meta, "applied": str(spec)})
+    print(f"trace {_fmt(out.trace())}")
+    print(f"min-eigenvalue {_fmt(min_eigenvalue(out))}")
     return 0
 
 

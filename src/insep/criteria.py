@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
+    MAX_QUBITS,
     TOL_PSD,
     DensityOperator,
     HermitianOperator,
@@ -30,6 +31,10 @@ TOL_CRIT = 1e-9
 # Rows per block of the all-pairs scan: its scratch arrays hold 256·2^n
 # entries, so it runs to the package's 12-qubit cap.
 _BLOCK_ROWS = 256
+
+# 2^-h for every Hamming distance h a scan can meet. Indexing it with the
+# popcounts costs about half the float power it replaces, with the same values.
+_HALF_POWERS = 0.5 ** np.arange(MAX_QUBITS + 1)
 
 
 class Verdict(Enum):
@@ -90,7 +95,7 @@ def _best_offdiagonal(blocks) -> OffDiagonalWitness | None:
     best, found = TOL_CRIT, None
     for values, a, b in blocks:
         ab = a ^ b
-        margins = np.abs(values) - 0.5 ** np.bitwise_count(ab)
+        margins = np.abs(values) - _HALF_POWERS[np.bitwise_count(ab)]
         margins[a <= b] = -np.inf
         k = int(margins.argmax())
         if margins.item(k) > best:

@@ -114,6 +114,35 @@ class MapSpec:
         return ",".join(f"{q}:{kind.value}" for q, kind in sorted(self.assignments))
 
 
+def _map_qubit(m: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:
+    """apply_on_qubit's rules, applied to qubit k of every matrix in m[..., d, d].
+
+    Never writes into m, which may be a read-only HermitianOperator matrix;
+    the T, X and I results may be views of it. k is not range-checked.
+    """
+    hi = 1 << (k - 1)
+    lo = 1 << (n - k)
+    r = m.reshape(*m.shape[:-2], hi, 2, lo, hi, 2, lo)
+    if kind is MapKind.P:
+        out = r.copy()
+        avg = (r[..., 0, :, :, 0, :] + r[..., 1, :, :, 1, :]) / 2
+        out[..., 0, :, :, 0, :] = avg
+        out[..., 1, :, :, 1, :] = avg
+    elif kind is MapKind.T:
+        out = r.swapaxes(-5, -2)
+    elif kind is MapKind.H:
+        out = -r
+        out[..., 0, :, :, 0, :] = r[..., 1, :, :, 1, :]
+        out[..., 1, :, :, 1, :] = r[..., 0, :, :, 0, :]
+    elif kind is MapKind.X:
+        out = r[..., ::-1, :, :, ::-1, :]
+    elif kind is MapKind.IDENTITY:
+        out = r
+    else:
+        raise TypeError(f"unknown map kind {kind!r}")
+    return out.reshape(m.shape)
+
+
 def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOperator:
     """Apply one single-qubit map to qubit k, identity on the rest.
 
@@ -125,30 +154,34 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
     n = rho.n_qubits
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
-    hi = 1 << (k - 1)
-    lo = 1 << (n - k)
-    r = rho.matrix.reshape(hi, 2, lo, hi, 2, lo)
-    # Only P writes into a copy; the other rules are views of r, and
     # HermitianOperator copies whatever it is given into a fresh array.
-    if kind is MapKind.P:
-        out = r.copy()
-        avg = (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]) / 2
-        out[:, 0, :, :, 0, :] = avg
-        out[:, 1, :, :, 1, :] = avg
-    elif kind is MapKind.T:
-        out = r.swapaxes(1, 4)
-    elif kind is MapKind.H:
-        out = -r
-        out[:, 0, :, :, 0, :] = r[:, 1, :, :, 1, :]
-        out[:, 1, :, :, 1, :] = r[:, 0, :, :, 0, :]
-    elif kind is MapKind.X:
-        out = r[:, ::-1, :, :, ::-1, :]
-    elif kind is MapKind.IDENTITY:
-        out = r
-    else:
-        raise TypeError(f"unknown map kind {kind!r}")
-    d = rho.dim
-    return HermitianOperator(out.reshape(d, d), n)
+    return HermitianOperator(_map_qubit(rho.matrix, n, k, kind), n)
+
+
+def _dense_map_qubit(ms: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:
+    """apply_on_qubit_dense's construction, broadcast over ms[..., d, d]."""
+    d = 1 << n
+    dr = d // 2
+    lo = 1 << (n - k)
+    # V[x] injects bit x at position k: V[x] |ac> = |a x c>.
+    V = [np.zeros((d, dr)) for _ in (0, 1)]
+    for r in range(dr):
+        a, c = divmod(r, lo)
+        for x in (0, 1):
+            V[x][(a * 2 + x) * lo + c, r] = 1.0
+    out = np.zeros(ms.shape, dtype=np.complex128)
+    for x in (0, 1):
+        for y in (0, 1):
+            block = V[x].T @ ms @ V[y]
+            unit = np.zeros((2, 2), dtype=np.complex128)
+            unit[x, y] = 1.0
+            image = _ON_2X2[kind](unit)
+            for xx in (0, 1):
+                for yy in (0, 1):
+                    w = image[xx, yy]
+                    if w != 0:
+                        out += w * (V[xx] @ block @ V[yy].T)
+    return out
 
 
 def apply_on_qubit_dense(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOperator:
@@ -161,28 +194,7 @@ def apply_on_qubit_dense(rho: HermitianOperator, k: int, kind: MapKind) -> Hermi
     n = rho.n_qubits
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
-    d = rho.dim
-    dr = d // 2
-    lo = 1 << (n - k)
-    # V[x] injects bit x at position k: V[x] |ac> = |a x c>.
-    V = [np.zeros((d, dr)) for _ in (0, 1)]
-    for r in range(dr):
-        a, c = divmod(r, lo)
-        for x in (0, 1):
-            V[x][(a * 2 + x) * lo + c, r] = 1.0
-    out = np.zeros((d, d), dtype=np.complex128)
-    for x in (0, 1):
-        for y in (0, 1):
-            block = V[x].T @ rho.matrix @ V[y]
-            unit = np.zeros((2, 2), dtype=np.complex128)
-            unit[x, y] = 1.0
-            image = _ON_2X2[kind](unit)
-            for xx in (0, 1):
-                for yy in (0, 1):
-                    w = image[xx, yy]
-                    if w != 0:
-                        out += w * (V[xx] @ block @ V[yy].T)
-    return HermitianOperator(out, n)
+    return HermitianOperator(_dense_map_qubit(rho.matrix, n, k, kind), n)
 
 
 def apply_product(rho: HermitianOperator, spec: MapSpec) -> HermitianOperator:

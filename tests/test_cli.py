@@ -209,6 +209,16 @@ def test_apply_out_writes_nothing_for_non_finite_input(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_apply_out_to_a_missing_directory_prints_no_result(tmp_path, bell_file, capsys):
+    out_path = tmp_path / "missing" / "out.json"
+    assert main(["apply", str(bell_file), "1:P", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("args", [["eigs"], ["detect", "lz"]])
 def test_unreadable_and_too_deep_files_name_the_path(tmp_path, capsys, args):
     bad_byte = tmp_path / "bad_byte.json"

@@ -20,7 +20,7 @@ from insep import (
     map_negativity_check,
     min_eigenvalue,
 )
-from insep.criteria import TOL_CRIT, _best_offdiagonal
+from insep.criteria import _HALF_POWERS, TOL_CRIT, _best_offdiagonal
 from insep.linalg import TOL_PSD, _psd_certified
 from insep.reproduce import _soundness_specs
 from insep.states import (
@@ -168,6 +168,12 @@ def test_subsumption_of_antidiagonal_check():
             assert general.verdict is Verdict.INSEPARABLE
             assert general.witness.margin >= lz.witness.margin - 1e-15
     assert fired > 0
+
+
+def test_half_power_table_is_bit_identical_to_the_float_power():
+    assert len(_HALF_POWERS) == 13
+    for h in range(13):
+        assert _HALF_POWERS[h].tobytes() == np.float64(0.5**h).tobytes()
 
 
 def test_witness_tie_breaks_lexicographically():

@@ -13,13 +13,17 @@ from insep import (
     lambda_p,
     min_eigenvalue,
 )
-from insep.maps import _ON_2X2
+from insep.maps import _ON_2X2, _dense_map_qubit, _map_qubit
 from insep.states import isotropic, product_state, pure_superposition, random_bloch, mixture_rng
 
 
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator((g + g.conj().T) / 2)
+
+
+def random_hermitian_stack(rng, n, count=7):
+    return np.stack([random_hermitian(rng, 1 << n).matrix for _ in range(count)])
 
 
 def random_density(rng, n):
@@ -174,6 +178,39 @@ def test_element_rule_equals_dense_construction(n):
                 fast = apply_on_qubit(rho, k, kind).matrix
                 dense = apply_on_qubit_dense(rho, k, kind).matrix
                 assert np.max(np.abs(fast - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stack_kernel_equals_apply_on_qubit_per_matrix(n):
+    stack = random_hermitian_stack(np.random.default_rng(40 + n), n)
+    ops = [HermitianOperator(m, n) for m in stack]
+    for k in range(1, n + 1):
+        for kind in MapKind:
+            got = _map_qubit(stack, n, k, kind)
+            expected = np.stack([apply_on_qubit(op, k, kind).matrix for op in ops])
+            assert np.array_equal(got, expected)
+
+
+def test_stack_kernel_leaves_a_read_only_input_unchanged():
+    n = 3
+    stack = random_hermitian_stack(np.random.default_rng(44), n)
+    before = stack.copy()
+    stack.setflags(write=False)
+    for k in range(1, n + 1):
+        for kind in MapKind:
+            _map_qubit(stack, n, k, kind)
+    assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_stack_kernel_equals_apply_on_qubit_dense_per_matrix(n):
+    stack = random_hermitian_stack(np.random.default_rng(50 + n), n)
+    ops = [HermitianOperator(m, n) for m in stack]
+    for k in range(1, n + 1):
+        for kind in MapKind:
+            got = _dense_map_qubit(stack, n, k, kind)
+            expected = np.stack([apply_on_qubit_dense(op, k, kind).matrix for op in ops])
+            assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 def test_apply_product_identity_and_order_independence():

@@ -1,0 +1,119 @@
+"""The stacked bulk checks of insep.reproduce against their per-matrix loops.
+
+Each reference below is the per-matrix loop the check ran before it mapped
+stacks, built on the public apply_product, apply_on_qubit and
+apply_on_qubit_dense. A check's rows report only extremes and zero counts,
+which a lost or extra state seldom moves, so both sides also count every
+matrix that reaches the map kernels and the eigensolver, by content: equal
+rows and equal counts pin the RNG order and the batch boundaries. Batch
+sizes other than the default leave a short last batch (7) or put every
+state in one stack (1000).
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from insep import maps, reproduce
+from insep.criteria import Verdict, hamming_offdiagonal_check, lz_antidiagonal_check
+from insep.linalg import min_eigenvalue
+from insep.maps import MapKind, apply_on_qubit, apply_on_qubit_dense, apply_product
+from insep.reproduce import Harness, _random_density, _random_hermitian_trace_one, _soundness_specs
+from insep.states import mixture_rng, random_multiseparable
+
+
+def per_matrix_soundness(h):
+    for n in (2, 3, 4):
+        false_positives = 0
+        lowest = math.inf
+        for i in range(1000):
+            rho = random_multiseparable(n, terms=1 + i % 5, seed=i)
+            if lz_antidiagonal_check(rho).verdict is Verdict.INSEPARABLE:
+                false_positives += 1
+            if hamming_offdiagonal_check(rho).verdict is Verdict.INSEPARABLE:
+                false_positives += 1
+            for spec in _soundness_specs(n):
+                low = min_eigenvalue(apply_product(rho, spec))
+                lowest = min(lowest, low)
+                if low < -1e-9:
+                    false_positives += 1
+        h.equals(f"soundness n={n}: false positives over 1000 product mixtures", false_positives, 0)
+        h.at_least(f"soundness n={n}: min eigenvalue over all P/T specs", lowest, -1e-9)
+
+
+def per_matrix_decomposition(h):
+    rng = mixture_rng(20260808)
+    dev = 0.0
+    for _ in range(1000):
+        rho = _random_hermitian_trace_one(rng)
+        lhs = apply_on_qubit(rho, 2, MapKind.P).matrix
+        flipped = apply_on_qubit(apply_on_qubit(rho, 2, MapKind.T), 2, MapKind.X).matrix
+        rhs = (rho.matrix + flipped) / 2
+        dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    h.close_to(
+        "decomposition identity (IxP) = ((I + IxX.IxT)/2), max deviation",
+        dev,
+        0.0,
+        1e-12,
+    )
+
+
+def per_matrix_elementwise_vs_dense(h):
+    rng = mixture_rng(11)
+    for n in (2, 3, 4):
+        dev = 0.0
+        for _ in range(200):
+            rho = _random_density(rng, n)
+            for k in range(1, n + 1):
+                for kind in MapKind:
+                    fast = apply_on_qubit(rho, k, kind).matrix
+                    dense = apply_on_qubit_dense(rho, k, kind).matrix
+                    dev = max(dev, float(np.max(np.abs(fast - dense))))
+        h.close_to(f"element-wise vs dense map application, n={n}, max deviation", dev, 0.0, 1e-12)
+
+
+PAIRS = [
+    (reproduce.check_soundness, per_matrix_soundness),
+    (reproduce.check_decomposition, per_matrix_decomposition),
+    (reproduce.check_elementwise_vs_dense, per_matrix_elementwise_vs_dense),
+]
+
+
+def recorded_run(check):
+    """check's rows, and a count of each matrix its map kernels and eigensolves receive."""
+    seen = Counter()
+
+    def recording(fn):
+        def wrapper(m, *args):
+            for one in m.reshape(-1, *m.shape[-2:]):
+                seen[fn.__name__, args, hash(one.tobytes())] += 1
+            return fn(m, *args)
+
+        return wrapper
+
+    kernels = {name: getattr(maps, name) for name in ("_map_qubit", "_dense_map_qubit")}
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (maps, reproduce):
+            for name, fn in kernels.items():
+                mp.setattr(module, name, recording(fn))
+        mp.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        h = Harness()
+        check(h)
+    return h.rows, seen
+
+
+@pytest.fixture(scope="module")
+def per_matrix_runs():
+    return {batched: recorded_run(reference) for batched, reference in PAIRS}
+
+
+@pytest.mark.parametrize("batch", [reproduce._BATCH, 7, 1000])
+@pytest.mark.parametrize("batched", [b for b, _ in PAIRS], ids=lambda f: f.__name__)
+def test_batched_check_equals_the_per_matrix_loop(monkeypatch, per_matrix_runs, batched, batch):
+    monkeypatch.setattr(reproduce, "_BATCH", batch)
+    rows, seen = recorded_run(batched)
+    expected_rows, expected_seen = per_matrix_runs[batched]
+    assert rows == expected_rows
+    assert seen == expected_seen
