@@ -147,14 +147,15 @@ def map_negativity_check(
     """Inseparable if the mapped operator has an eigenvalue below -tol.
 
     Positive single-qubit maps keep product mixtures positive, so negativity
-    after partial application rules out a product decomposition. A negative
-    tol would call positive operators negative, so tol must be finite and >= 0.
-    A shifted-Cholesky certificate of lambda_min >= -3*tol/4 decides
-    inconclusive without an eigensolve; otherwise the full eigensystem
-    decides, and supplies the witness.
+    after partial application rules out a product decomposition. tol must be
+    finite and at least TOL_PSD: a smaller one would take eigensolver
+    rounding on a product state, or an eigenvalue a DensityOperator accepts,
+    for a witness. A shifted-Cholesky certificate of lambda_min >= -3*tol/4
+    decides inconclusive without an eigensolve; otherwise the full
+    eigensystem decides, and supplies the witness.
     """
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    if not (tol >= TOL_PSD and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and >= {TOL_PSD!r}, got {tol!r}")
     sigma = apply_product(rho, spec)
     if not _psd_certified(sigma.matrix, tol):
         w, v = np.linalg.eigh(sigma.matrix)

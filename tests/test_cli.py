@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -340,6 +341,21 @@ def _token_cases(text):
     return cases
 
 
+def _entries_edits(raw):
+    # A digit or a "-" inserted, a byte deleted, and two neighbours swapped,
+    # at every position of the entries.
+    start = raw.index(b'"entries": [\n') + len(b'"entries": [\n')
+    stop = len(raw) - len(b"\n]\n}\n")
+    cases = []
+    for at in range(start, stop + 1):
+        cases += [raw[:at] + b"7" + raw[at:], raw[:at] + b"-" + raw[at:]]
+        if at < stop:
+            cases.append(raw[:at] + raw[at + 1 :])
+        if at + 1 < stop:
+            cases.append(raw[:at] + raw[at + 1 : at + 2] + raw[at : at + 1] + raw[at + 2 :])
+    return cases
+
+
 def test_flat_reader_matches_the_nested_reader(tmp_path, monkeypatch):
     # Every case must give the same matrix bytes (signed zeros included) and
     # meta as the nested JSON reader, or the same error.
@@ -351,6 +367,12 @@ def test_flat_reader_matches_the_nested_reader(tmp_path, monkeypatch):
         cases.append(raw)
         cases += _whole_file_cases(raw.decode())
         cases += _token_cases(raw.decode())
+    # One-byte edits of an n = 1 and an n = 2 written file, and of the layout
+    # with one-digit numbers, which a swap moves whole out of its pair.
+    n1 = tmp_path / "n1.json"
+    assert main(["gen", "random-msep", "n=1", "seed=2", "--out", str(n1)]) == 0
+    for raw in (n1.read_bytes(), originals[0], originals[-1].replace(b".0", b"")):
+        cases += _entries_edits(raw)
     for _ in range(3000):
         data = bytearray(originals[rng.integers(len(originals))])
         for _ in range(rng.integers(1, 4)):
@@ -478,6 +500,65 @@ def test_parse_map_spec_grammar():
             parse_map_spec(bad, 2)
 
 
+_SPEC_ALPHABET = "0123456789,:aAlLpPtThHxXiI _-"
+
+
+def _random_text(rng, chars, longest):
+    return "".join(rng.choice(list(chars), size=rng.integers(0, longest + 1)))
+
+
+def _random_spec_text(rng):
+    # Half fully random; half one or two QUBIT:KIND entries, mostly well formed.
+    if rng.integers(2):
+        return _random_text(rng, _SPEC_ALPHABET, 12)
+    entries = []
+    for _ in range(rng.integers(1, 3)):
+        qubit = [
+            str(rng.integers(1, 4)),
+            str(rng.integers(0, 14)),
+            "".join(c.upper() if rng.integers(2) else c for c in "all"),
+            _random_text(rng, _SPEC_ALPHABET, 3),
+        ]
+        kind = [str(rng.choice(list("pPtThHxXiI"))), _random_text(rng, _SPEC_ALPHABET, 2)]
+        entries.append(qubit[max(rng.integers(6) - 2, 0)] + ":" + kind[int(rng.integers(4) == 0)])
+    return ",".join(entries)
+
+
+def test_parse_map_spec_fuzz(tmp_path, capsys):
+    # Every string parses to a spec of distinct qubits in 1..n or raises
+    # CliError. Through detect it exits 0, 1 or 2, with one plain error line
+    # on 2, and never calls a product state inseparable.
+    rng = np.random.default_rng(20261019)
+    ghz3, product3 = tmp_path / "ghz3.json", tmp_path / "product3.json"
+    assert main(["gen", "ghz", "n=3", "--out", str(ghz3)]) == 0
+    assert main(["gen", "random-msep", "n=3", "terms=1", "seed=4", "--out", str(product3)]) == 0
+    capsys.readouterr()
+    parsed = 0
+    codes = set()
+    for i in range(2000):
+        text = _random_spec_text(rng)
+        n = int(rng.integers(1, 13))
+        try:
+            spec = parse_map_spec(text, n)
+        except CliError:
+            pass
+        else:
+            parsed += 1
+            qubits = [q for q, _ in spec.assignments]
+            assert len(set(qubits)) == len(qubits) and all(1 <= q <= n for q in qubits), text
+        if i % 10:
+            continue
+        for path in (ghz3, product3):
+            code = main(["detect", str(path), "map", f"--spec={text}"])
+            out, err = capsys.readouterr()
+            codes.add(code)
+            assert code in ((0, 1, 2) if path == ghz3 else (1, 2)), text
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (text, err)
+                assert err.count("error:") == 1 and not re.match(r"error: \w+: ", err), (text, err)
+    assert 0 < parsed < 2000 and codes == {0, 1, 2}
+
+
 # ---------------------------------------------------------------- apply
 
 def test_apply_prints_trace_and_min_eigenvalue(bell_file, capsys):
@@ -567,7 +648,7 @@ def test_detect_tol_override_relaxes_verdict(tmp_path, capsys):
     assert main(["detect", str(path), "map", "--spec", "2:P", "--tol", "0.01"]) == 1
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["-1", "0", "1e-10", "nan", "inf"])
 def test_detect_rejects_bad_tol(tmp_path, capsys, tol):
     path = tmp_path / "product.json"
     main(["gen", "random-msep", "n=2", "terms=1", "seed=3", "--out", str(path)])
@@ -575,6 +656,17 @@ def test_detect_rejects_bad_tol(tmp_path, capsys, tol):
     captured = capsys.readouterr()
     assert "verdict" not in captured.out
     assert "tolerance" in captured.err
+
+
+def test_detect_tol_below_tol_psd_exits_2_on_a_product_state(tmp_path, capsys):
+    # On |+>|+> every map spec below gives eigensolver rounding of -2.5e-16,
+    # which --tol 0 would report as an inseparable witness.
+    path = tmp_path / "plus.json"
+    save_operator(path, HermitianOperator(np.full((4, 4), 0.25 + 0j), 2))
+    for spec in ("1:T", "1:P", "all:P", "all:T"):
+        assert main(["detect", str(path), "map", "--spec", spec, "--tol", "0"]) == 2
+        assert main(["detect", str(path), "map", "--spec", spec]) == 1
+    assert "inseparable" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", [["--spec", "1:P"], ["--tol", "-5"], ["--tol", "0.01"]])

@@ -300,13 +300,14 @@ def test_map_negativity_tolerance_override():
     assert relaxed.verdict is Verdict.INCONCLUSIVE
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, 0.0, 1e-10, math.nan, math.inf])
 def test_map_negativity_rejects_negative_or_non_finite_tol(tol):
-    # With tol = -1 the identity map would call this product state inseparable.
+    # With tol = -1 the identity map would call this product state inseparable;
+    # below TOL_PSD, eigensolver rounding would.
     rho = random_multiseparable(2, terms=1, seed=3)
     with pytest.raises(ValueError, match="tolerance"):
         map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=tol)
-    assert map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=0.0).verdict is Verdict.INCONCLUSIVE
+    assert map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=TOL_PSD).verdict is Verdict.INCONCLUSIVE
 
 
 def decision_sweep():
