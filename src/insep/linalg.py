@@ -146,7 +146,8 @@ class BlochVector:
 
     def __post_init__(self):
         r2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if r2 > 0.25 + TOL_PSD:
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not r2 <= 0.25 + TOL_PSD:
             raise ValueError(f"point ({self.x}, {self.y}, {self.z}) is outside the Bloch ball")
 
     def __iter__(self):

@@ -92,10 +92,6 @@ class Harness:
     def equals(self, name, computed, expected, note=""):
         self.rows.append(CheckRow(name, str(computed), str(expected), computed == expected, note))
 
-    @property
-    def all_passed(self):
-        return all(r.passed for r in self.rows)
-
 
 def _random_hermitian_trace_one(rng) -> HermitianOperator:
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -103,6 +104,89 @@ def test_gen_out_of_range_seed_names_the_parameter(capsys, seed):
     assert capsys.readouterr().err.splitlines() == [
         f"error: seed must be an integer in 0..2**128 - 1, got {seed}"
     ]
+
+
+# The gen grammar, each case with its exit code and either the file's "meta"
+# line (exit 0) or the stderr line after "error: " (exit 2).
+_GEN_CORPUS = [
+    (["horodecki-b", "b=0.1"], 0, '"meta": {"generator":"horodecki-b","parameters":{"b":0.1}},'),
+    (["horodecki-b", "b=0.1", "label=x"], 0, '"meta": {"generator":"horodecki-b","label":"x","parameters":{"b":0.1}},'),
+    (["horodecki-b", "b=1e-1"], 0, '"meta": {"generator":"horodecki-b","parameters":{"b":0.1}},'),
+    (["horodecki-b", "b= 0.3 "], 0, '"meta": {"generator":"horodecki-b","parameters":{"b":0.3}},'),
+    (["isotropic", "s=0"], 0, '"meta": {"generator":"isotropic","parameters":{"bell":"phi+","s":0.0}},'),
+    (["isotropic", "s=2", "bell=psi-"], 0, '"meta": {"generator":"isotropic","parameters":{"bell":"psi-","s":2.0}},'),
+    (["isotropic", "s=-5", "bell=phi-", "label=iso"], 0, '"meta": {"generator":"isotropic","label":"iso","parameters":{"bell":"phi-","s":-5.0}},'),
+    (["isotropic", "s=1", "bell=psi+"], 0, '"meta": {"generator":"isotropic","parameters":{"bell":"psi+","s":1.0}},'),
+    (["pure-p", "p=0.25"], 0, '"meta": {"generator":"pure-p","parameters":{"p":0.25}},'),
+    (["pure-p", "p=+0.5"], 0, '"meta": {"generator":"pure-p","parameters":{"p":0.5}},'),
+    (["ghz", "n=2"], 0, '"meta": {"generator":"ghz","parameters":{"n":2}},'),
+    (["ghz", "n=3", "label=g"], 0, '"meta": {"generator":"ghz","label":"g","parameters":{"n":3}},'),
+    (["ghz", "n=+3"], 0, '"meta": {"generator":"ghz","parameters":{"n":3}},'),
+    (["random-msep", "n=2"], 0, '"meta": {"generator":"random-msep","parameters":{"n":2,"seed":0,"terms":4}},'),
+    (["random-msep", "n=2", "terms=2", "seed=5"], 0, '"meta": {"generator":"random-msep","parameters":{"n":2,"seed":5,"terms":2}},'),
+    (["random-msep", "n=1", "seed=3", "label=r"], 0, '"meta": {"generator":"random-msep","label":"r","parameters":{"n":1,"seed":3,"terms":4}},'),
+    (["random-msep", "seed=3", "n=2", "terms=1"], 0, '"meta": {"generator":"random-msep","parameters":{"n":2,"seed":3,"terms":1}},'),
+    (["nosuch", "b=0.1"], 2, "unknown family 'nosuch'; choose from horodecki-b, isotropic, pure-p, ghz, random-msep"),
+    (["nosuch", "x"], 2, "bad parameter 'x'; expected key=value"),
+    (["horodecki-b"], 2, "missing required parameter b=..."),
+    (["horodecki-b", "b=oops"], 2, "parameter b must be a number"),
+    (["horodecki-b", "b=0.1", "extra=1"], 2, "unexpected parameters for horodecki-b: extra"),
+    (["horodecki-b", "0.1"], 2, "bad parameter '0.1'; expected key=value"),
+    (["horodecki-b", "b=0"], 2, "b must be in (0, 1), got 0.0"),
+    (["isotropic"], 2, "missing required parameter s=..."),
+    (["isotropic", "s=-1"], 2, "s must satisfy s <= -4 or s >= 0, got -1.0"),
+    (["isotropic", "s=0", "bell=sigma+"], 2, "unknown bell state 'sigma+'; choose from phi+, phi-, psi+, psi-"),
+    (["isotropic", "s=x", "bell=sigma+"], 2, "parameter s must be a number"),
+    (["pure-p", "p=2"], 2, "p must be in (0, 1), got 2.0"),
+    # The builder runs before leftover parameters are reported.
+    (["pure-p", "p=2", "extra=1"], 2, "p must be in (0, 1), got 2.0"),
+    (["ghz"], 2, "missing required parameter n=..."),
+    (["ghz", "n=1"], 2, "GHZ needs at least 2 qubits, got 1"),
+    (["ghz", "n=2.5"], 2, "parameter n must be an integer"),
+    (["ghz", "n=13"], 2, "13 qubits exceeds the cap of 12"),
+    (["ghz", "n=2", "zeta=1", "alpha=2"], 2, "unexpected parameters for ghz: alpha, zeta"),
+    (["random-msep"], 2, "missing required parameter n=..."),
+    (["random-msep", "n=2", "terms=0"], 2, "terms must be >= 1, got 0"),
+    (["random-msep", "n=2", "terms=x"], 2, "parameter terms must be an integer"),
+    (["random-msep", "n=0"], 2, "n must be in 1..12, got 0"),
+    (["random-msep", "n=x", "terms=0"], 2, "parameter n must be an integer"),
+    # Numbers are ASCII without digit-group underscores, and no parameter
+    # may be given twice; each of these once wrote a file.
+    (["ghz", "n=1_0"], 2, "parameter n must be an integer"),
+    (["pure-p", "p=0.1_5"], 2, "parameter p must be a number"),
+    (["ghz", "n=٣"], 2, "parameter n must be an integer"),
+    (["horodecki-b", "b=0.1", "b=0.5"], 2, "parameter b given more than once"),
+    (["ghz", "n=3", "label=a", "label=b"], 2, "parameter label given more than once"),
+]
+
+
+@pytest.mark.parametrize("params, code, line", _GEN_CORPUS, ids=[" ".join(c[0]) for c in _GEN_CORPUS])
+def test_gen_grammar(capsys, params, code, line):
+    assert main(["gen", *params]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out.splitlines()[2] == line
+    else:
+        assert (out, err) == ("", f"error: {line}\n")
+
+
+def test_gen_names_come_from_the_family_table_and_enums(capsys):
+    families = list(cli._FAMILIES)
+    assert families == ["horodecki-b", "isotropic", "pure-p", "ghz", "random-msep"]
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert " | ".join(families) in capsys.readouterr().out
+    for build, signature in cli._FAMILIES.values():
+        assert [key for key, _, _ in signature] == list(inspect.signature(build).parameters)
+    for argv, kind, names in [
+        (["gen", "nosuch"], "family 'nosuch'", families),
+        (["gen", "isotropic", "s=0", "bell=x"], "bell state 'x'", [b.value for b in Bell]),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: unknown {kind}; choose from {', '.join(names)}\n"
+    with pytest.raises(CliError) as exc:
+        parse_map_spec("1:Q", 2)
+    assert str(exc.value) == "unknown map kind 'Q'; choose from " + ", ".join(k.value for k in MapKind)
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -495,9 +579,14 @@ def test_parse_map_spec_grammar():
     assert parse_map_spec("all:P", 3) == MapSpec.all_qubits(3, MapKind.P)
     assert parse_map_spec("1:Identity", 2) == MapSpec(((1, MapKind.IDENTITY),))
     assert parse_map_spec("2:p", 2) == MapSpec(((2, MapKind.P),))
-    for bad in ("", "1", "1:Q", "x:P", "1:P,1:T", "3:P", "all:P,2:T"):
+    assert parse_map_spec(" +1 :T", 2) == MapSpec(((1, MapKind.T),))
+    for bad in ("", "1", "1:Q", "x:P", "1:P,1:T", "3:P", "all:P,2:T", "1_0:P", "٣:P"):
         with pytest.raises(CliError):
             parse_map_spec(bad, 2)
+    # int() would read these as qubits 10 and 3, both in range here.
+    for bad in ("1_0", "٣"):
+        with pytest.raises(CliError, match=f"^bad qubit index '{bad}'$"):
+            parse_map_spec(f"{bad}:P", 12)
 
 
 _SPEC_ALPHABET = "0123456789,:aAlLpPtThHxXiI _-"

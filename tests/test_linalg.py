@@ -17,6 +17,7 @@ from insep import (
 from insep.criteria import Verdict, map_negativity_check
 from insep.linalg import _psd_certified
 from insep.maps import MapKind, MapSpec, apply_product
+from insep.states import product_state
 
 # Residual allowed to the eigensolver on the O(1) random matrices below.
 EIG_RESIDUAL = 1e-10
@@ -88,8 +89,11 @@ def test_density_operator_shares_a_validated_matrix():
 
 def test_bloch_vector_ball_invariant():
     BlochVector(0.3, -0.3, 0.2)
-    with pytest.raises(ValueError, match="Bloch ball"):
-        BlochVector(0.5, 0.5, 0.0)
+    nan = float("nan")
+    for v in [(0.5, 0.5, 0.0), (nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, nan)]:
+        for build in (lambda v: BlochVector(*v), density_from_bloch, lambda v: product_state([v])):
+            with pytest.raises(ValueError, match="outside the Bloch ball"):
+                build(v)
 
 
 # ---------------------------------------------------------------- tensor
