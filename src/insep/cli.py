@@ -248,7 +248,7 @@ def _parse(text: str, kind, error: str):
 
 def parse_map_spec(text: str, n: int) -> MapSpec:
     """Grammar: comma-separated QUBIT:KIND entries, or the 'all:KIND' shorthand."""
-    kinds = {k.value: k for k in MapKind}
+    kinds = {k.value: k for k in MapKind} | {k.name: k for k in MapKind}
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise CliError("empty map spec")
@@ -257,11 +257,11 @@ def parse_map_spec(text: str, n: int) -> MapSpec:
         if ":" not in part:
             raise CliError(f"bad map-spec entry {part!r}; expected QUBIT:KIND")
         qs, ks = part.split(":", 1)
-        ks = ks.strip().upper()
-        if ks == "IDENTITY":
-            ks = "I"
+        ks = ks.strip()
+        if ks.isascii():  # str.upper would also turn a dotless 'ı' into 'I'
+            ks = ks.upper()
         if ks not in kinds:
-            raise CliError(f"unknown map kind {ks!r}; choose from {', '.join(kinds)}")
+            raise CliError(f"unknown map kind {ks!r}; choose from {', '.join(k.value for k in MapKind)}")
         if qs.strip().lower() == "all":
             if len(parts) != 1:
                 raise CliError("'all:KIND' cannot be combined with other entries")
@@ -387,7 +387,7 @@ def _cmd_detect(args) -> int:
         if not args.spec:
             raise CliError("method 'map' requires --spec")
         spec = parse_map_spec(args.spec, rho.n_qubits)
-        tol = TOL_PSD if args.tol is None else args.tol
+        tol = TOL_PSD if args.tol is None else _parse(args.tol, float, "tolerance must be a number")
         report = map_negativity_check(rho, spec, tol=tol)
     _print_report(report)
     return 0 if report.verdict is Verdict.INSEPARABLE else 1
@@ -400,7 +400,7 @@ def _cmd_eigs(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    rows = run_all(perturb=args.perturb)
+    rows = run_all(perturb=_parse(args.perturb, float, "--perturb must be a number"))
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         line = f"[{status}] {r.name}: computed {r.computed}, expected {r.expected}"
@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("infile")
     detect.add_argument("method", choices=("lz", "hamming", "map"))
     detect.add_argument("--spec", help="map spec (required for method 'map')")
-    detect.add_argument("--tol", type=float, help="override the negativity tolerance (exploration only)")
+    # A type= callable's CliError would escape main's try: --tol and --perturb are parsed by their handlers.
+    detect.add_argument("--tol", help="override the negativity tolerance (exploration only)")
     detect.set_defaults(handler=_cmd_detect)
 
     eigs = sub.add_parser("eigs", help="print eigenvalues in ascending order")
@@ -445,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="re-derive the closed-form reference results")
     rep.add_argument(
         "--perturb",
-        type=float,
-        default=0.0,
+        default="0",
         help="harness self-test: offset every computed value by this amount",
     )
     rep.set_defaults(handler=_cmd_reproduce)

@@ -80,8 +80,9 @@ def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
 class MapSpec:
     """Assignment of a MapKind to each of a distinct set of qubits.
 
-    Unlisted qubits receive the identity. Validity against a concrete qubit
-    count is checked at application time.
+    Unlisted qubits receive the identity. The assignments are stored in
+    ascending qubit order, so specs that list the same entries compare equal.
+    Validity against a concrete qubit count is checked at application time.
     """
 
     assignments: tuple[tuple[int, MapKind], ...]
@@ -96,6 +97,8 @@ class MapSpec:
             if not isinstance(kind, MapKind):
                 raise TypeError(f"expected MapKind, got {kind!r}")
             seen.add(q)
+        # The qubit is the only key: two MapKinds do not compare.
+        object.__setattr__(self, "assignments", tuple(sorted(self.assignments, key=lambda a: a[0])))
 
     @classmethod
     def single(cls, k: int, kind: MapKind) -> MapSpec:
@@ -111,7 +114,7 @@ class MapSpec:
                 raise ValueError(f"qubit index {q} out of range for {n} qubits")
 
     def __str__(self):
-        return ",".join(f"{q}:{kind.value}" for q, kind in sorted(self.assignments))
+        return ",".join(f"{q}:{kind.value}" for q, kind in self.assignments)
 
 
 def _map_qubit(m: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:
@@ -205,6 +208,6 @@ def apply_product(rho: HermitianOperator, spec: MapSpec) -> HermitianOperator:
     """
     spec.validate_for(rho.n_qubits)
     out = rho
-    for q, kind in sorted(spec.assignments):
+    for q, kind in spec.assignments:
         out = apply_on_qubit(out, q, kind)
     return out

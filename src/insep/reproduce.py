@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import (
+    TOL_CRIT,
     Verdict,
     equal_argument_check,
     hamming_offdiagonal_check,
@@ -32,6 +33,7 @@ from .criteria import (
     map_negativity_check,
 )
 from .linalg import (
+    TOL_PSD,
     HermitianOperator,
     bloch_from_density,
     density_from_bloch,
@@ -79,35 +81,35 @@ class Harness:
     perturb: float = 0.0
     rows: list[CheckRow] = field(default_factory=list)
 
-    def close_to(self, name, computed, expected, tol, note=""):
+    def close_to(self, name, computed, expected, tol):
         c = computed + self.perturb
         self.rows.append(
-            CheckRow(name, repr(float(c)), f"{float(expected)!r} (tol {tol:g})", abs(c - expected) <= tol, note)
+            CheckRow(name, repr(float(c)), f"{float(expected)!r} (tol {tol:g})", abs(c - expected) <= tol)
         )
 
-    def at_least(self, name, computed, floor, note=""):
+    def at_least(self, name, computed, floor):
         c = computed + self.perturb
-        self.rows.append(CheckRow(name, repr(float(c)), f">= {float(floor)!r}", c >= floor, note))
+        self.rows.append(CheckRow(name, repr(float(c)), f">= {float(floor)!r}", c >= floor))
 
     def equals(self, name, computed, expected, note=""):
         self.rows.append(CheckRow(name, str(computed), str(expected), computed == expected, note))
 
 
-def _random_hermitian_trace_one(rng) -> HermitianOperator:
+def _random_hermitian_trace_one(rng) -> np.ndarray:
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2
     tr = h.trace().real
     if abs(tr) < 0.5:  # keep the trace normalization well conditioned
         h += np.eye(4) * (1.0 if tr >= 0 else -1.0)
         tr = h.trace().real
-    return HermitianOperator(h / tr, 2)
+    return h / tr
 
 
-def _random_density(rng, n) -> HermitianOperator:
+def _random_density(rng, n) -> np.ndarray:
     d = 1 << n
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
-    return HermitianOperator(m / m.trace().real, n)
+    return m / m.trace().real
 
 
 def _nonneg_mixture(rng, n, terms) -> HermitianOperator:
@@ -124,9 +126,15 @@ def _nonneg_mixture(rng, n, terms) -> HermitianOperator:
     return HermitianOperator(acc, n)
 
 
+def _spectrum_gap(op: HermitianOperator, closed_form) -> float:
+    """max |eigvalsh(op) - sort(closed_form)|: op's spectrum against a closed form."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix) - np.sort(closed_form))))
+
+
 def check_b_family_threshold(h: Harness) -> None:
-    for b in (0.10, 0.13, 0.137, 0.14, 0.2):
-        report = hamming_offdiagonal_check(horodecki_b(b))
+    grid = {b: horodecki_b(b) for b in (0.10, 0.13, 0.137, 0.14, 0.2)}
+    for b, rho in grid.items():
+        report = hamming_offdiagonal_check(rho)
         expected = Verdict.INSEPARABLE if b < QUOTED_B_THRESHOLD else Verdict.INCONCLUSIVE
         note = ""
         if b == 0.14:
@@ -138,10 +146,9 @@ def check_b_family_threshold(h: Harness) -> None:
         if report.verdict is Verdict.INSEPARABLE:
             w = report.witness
             h.equals(f"b-family witness at b={b}", f"({w.a},{w.b}) bound {w.bound}", "(7,4) bound 0.25")
-    rho = horodecki_b(0.1)
     h.close_to(
         "b-family element (7,4) at b=0.1",
-        abs(rho.matrix[7, 4]),
+        abs(grid[0.1].matrix[7, 4]),
         math.sqrt(0.99) / 3.4,
         1e-12,
     )
@@ -150,12 +157,12 @@ def check_b_family_threshold(h: Harness) -> None:
 def check_ppt_control(h: Harness) -> None:
     for b in (0.1, 0.5, 0.9):
         low = min_eigenvalue(apply_on_qubit(horodecki_b(b), 1, MapKind.T))
-        h.at_least(f"b-family partial transpose on qubit 1, min eig at b={b}", low, -1e-9)
+        h.at_least(f"b-family partial transpose on qubit 1, min eig at b={b}", low, -TOL_PSD)
 
 
-def _isotropic_verdict(s: float, spec: MapSpec) -> str:
-    """The verdict all four Bell states share at s, or each one's if they differ."""
-    by_bell = {bell.value: map_negativity_check(isotropic(s, bell), spec).verdict.value for bell in Bell}
+def _isotropic_verdict(states: dict, spec: MapSpec) -> str:
+    """The verdict all four Bell states share, or each one's if they differ."""
+    by_bell = {bell.value: map_negativity_check(rho, spec).verdict.value for bell, rho in states.items()}
     if len(set(by_bell.values())) == 1:
         return by_bell[Bell.PHI_PLUS.value]
     return "Bell states disagree (" + ", ".join(f"{k}: {v}" for k, v in by_bell.items()) + ")"
@@ -163,21 +170,17 @@ def _isotropic_verdict(s: float, spec: MapSpec) -> str:
 
 def check_isotropic(h: Harness) -> None:
     s_grid = (0, 0.5, 1, 1.5, 2, 5)
-    for s in s_grid:
-        dev_p = 0.0
-        dev_t = 0.0
-        for bell in Bell:
-            rho = isotropic(s, bell)
-            got_p = np.linalg.eigvalsh(apply_on_qubit(rho, 2, MapKind.P).matrix)
-            exp_p = np.sort([(s - 1) / (4 * s + 4), (s + 3) / (4 * s + 4), 0.25, 0.25])
-            dev_p = max(dev_p, float(np.max(np.abs(got_p - exp_p))))
-            got_t = np.linalg.eigvalsh(apply_on_qubit(rho, 2, MapKind.T).matrix)
-            exp_t = np.sort([(s - 2) / (4 * s + 4)] + [(s + 2) / (4 * s + 4)] * 3)
-            dev_t = max(dev_t, float(np.max(np.abs(got_t - exp_t))))
+    grid = [{bell: isotropic(s, bell) for bell in Bell} for s in s_grid]
+    for s, states in zip(s_grid, grid):
+        exp_p = [(s - 1) / (4 * s + 4), (s + 3) / (4 * s + 4), 0.25, 0.25]
+        exp_t = [(s - 2) / (4 * s + 4)] + [(s + 2) / (4 * s + 4)] * 3
+        dev_p = max(_spectrum_gap(apply_on_qubit(rho, 2, MapKind.P), exp_p) for rho in states.values())
+        dev_t = max(_spectrum_gap(apply_on_qubit(rho, 2, MapKind.T), exp_t) for rho in states.values())
         h.close_to(f"isotropic (IxP) spectrum deviation at s={s}, all Bell states", dev_p, 0.0, 1e-10)
         h.close_to(f"isotropic (IxT) spectrum deviation at s={s}, all Bell states", dev_t, 0.0, 1e-10)
     for kind, flip in ((MapKind.P, 1.0), (MapKind.T, 2.0)):
-        verdicts = [_isotropic_verdict(s, MapSpec.single(2, kind)) for s in s_grid]
+        spec = MapSpec.single(2, kind)
+        verdicts = [_isotropic_verdict(states, spec) for states in grid]
         expected = [
             Verdict.INSEPARABLE.value if s < flip else Verdict.INCONCLUSIVE.value for s in s_grid
         ]
@@ -186,25 +189,19 @@ def check_isotropic(h: Harness) -> None:
 
 def check_pure_state(h: Harness) -> None:
     p_grid = (0.05, 0.067, 0.1, 0.5, 0.9, 0.933, 0.95)
-    dev_one = 0.0
-    dev_both = 0.0
-    for p in p_grid:
-        rho = pure_superposition(p)
-        got = np.linalg.eigvalsh(apply_on_qubit(rho, 2, MapKind.P).matrix)
+    both = MapSpec.all_qubits(2, MapKind.P)
+    states = [pure_superposition(p) for p in p_grid]
+    dev_one = dev_both = 0.0
+    for p, rho in zip(p_grid, states):
         disc = math.sqrt(-12 * p * p + 12 * p + 1) / 4
-        expected = np.sort([p / 2, (1 - p) / 2, 0.25 - disc, 0.25 + disc])
-        dev_one = max(dev_one, float(np.max(np.abs(got - expected))))
-        got = np.linalg.eigvalsh(apply_product(rho, MapSpec.all_qubits(2, MapKind.P)).matrix)
+        closed_one = [p / 2, (1 - p) / 2, 0.25 - disc, 0.25 + disc]
+        dev_one = max(dev_one, _spectrum_gap(apply_on_qubit(rho, 2, MapKind.P), closed_one))
         r = math.sqrt(p - p * p)
-        expected = np.sort([0.25, 0.25, 0.25 - r, 0.25 + r])
-        dev_both = max(dev_both, float(np.max(np.abs(got - expected))))
+        dev_both = max(dev_both, _spectrum_gap(apply_product(rho, both), [0.25, 0.25, 0.25 - r, 0.25 + r]))
     h.close_to("pure-state (IxP) spectrum deviation over p grid", dev_one, 0.0, 1e-10)
     h.close_to("pure-state (PxP) spectrum deviation over p grid", dev_both, 0.0, 1e-10)
     lo, hi = 0.5 - math.sqrt(3) / 4, 0.5 + math.sqrt(3) / 4
-    verdicts = [
-        map_negativity_check(pure_superposition(p), MapSpec.all_qubits(2, MapKind.P)).verdict.value
-        for p in p_grid
-    ]
+    verdicts = [map_negativity_check(rho, both).verdict.value for rho in states]
     expected = [Verdict.INSEPARABLE.value if lo < p < hi else Verdict.INCONCLUSIVE.value for p in p_grid]
     h.equals(f"pure-state (PxP) verdicts over p={p_grid}", verdicts, expected)
 
@@ -224,7 +221,7 @@ def _batches(count: int):
 def check_soundness(h: Harness) -> None:
     for n in (2, 3, 4):
         d = 1 << n
-        specs = [sorted(spec.assignments) for spec in _soundness_specs(n)]
+        specs = [spec.assignments for spec in _soundness_specs(n)]
         false_positives = 0
         lowest = math.inf
         for batch in _batches(1000):
@@ -242,16 +239,16 @@ def check_soundness(h: Harness) -> None:
                     mapped = _map_qubit(mapped, n, q, kind)
                 low = np.linalg.eigvalsh(mapped)[:, 0]
                 lowest = min(lowest, float(low.min()))
-                false_positives += int(np.count_nonzero(low < -1e-9))
+                false_positives += int(np.count_nonzero(low < -TOL_PSD))
         h.equals(f"soundness n={n}: false positives over 1000 product mixtures", false_positives, 0)
-        h.at_least(f"soundness n={n}: min eigenvalue over all P/T specs", lowest, -1e-9)
+        h.at_least(f"soundness n={n}: min eigenvalue over all P/T specs", lowest, -TOL_PSD)
 
 
 def check_decomposition(h: Harness) -> None:
     rng = mixture_rng(20260808)
     dev = 0.0
     for batch in _batches(1000):
-        rho = np.stack([_random_hermitian_trace_one(rng).matrix for _ in batch])
+        rho = np.stack([_random_hermitian_trace_one(rng) for _ in batch])
         lhs = _map_qubit(rho, 2, 2, MapKind.P)
         flipped = _map_qubit(_map_qubit(rho, 2, 2, MapKind.T), 2, 2, MapKind.X)
         rhs = (rho + flipped) / 2
@@ -269,7 +266,7 @@ def check_elementwise_vs_dense(h: Harness) -> None:
     for n in (2, 3, 4):
         dev = 0.0
         for batch in _batches(200):
-            rho = np.stack([_random_density(rng, n).matrix for _ in batch])
+            rho = np.stack([_random_density(rng, n) for _ in batch])
             for k in range(1, n + 1):
                 for kind in MapKind:
                     fast = _map_qubit(rho, n, k, kind)
@@ -296,7 +293,7 @@ def check_lemmas(h: Harness) -> None:
             continue
         mapped = apply_product(rho, MapSpec.all_qubits(n, MapKind.P))
         lower = np.abs(rho.matrix) / 2.0 ** (n - hmat)
-        bad = off & (np.abs(mapped.matrix) < lower - 1e-9)
+        bad = off & (np.abs(mapped.matrix) < lower - TOL_CRIT)
         bound_violations += int(bad.sum())
         # spot-check the function-level route on the largest off-diagonal element
         masked = np.where(off, np.abs(rho.matrix), -np.inf)

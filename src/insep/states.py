@@ -63,7 +63,8 @@ def isotropic(s: float, bell: Bell = Bell.PHI_PLUS) -> DensityOperator:
         raise ValueError(f"s must be finite, got {s}")
     if -4 < s < 0:
         raise ValueError(f"s must satisfy s <= -4 or s >= 0, got {s}")
-    proj = bell_state(bell).matrix
+    v = bell_ket(bell)
+    proj = np.outer(v, v.conj())
     return DensityOperator((proj + s * np.eye(4) / 4) / (1 + s), 2)
 
 
@@ -102,20 +103,15 @@ def _kron_chain(factors) -> np.ndarray:
     return out
 
 
-def _product_matrix(blochs) -> np.ndarray:
-    """Kronecker product of the radius-checked 2x2 factors, qubit 1 leftmost."""
+def product_state(blochs) -> DensityOperator:
+    """Tensor product of single-qubit states given by their Bloch vectors, qubit 1 leftmost."""
     factors = [_bloch_matrix(v) for v in blochs]
     if not factors:
         raise ValueError("need at least one Bloch vector")
     if len(factors) > MAX_QUBITS:
         # Checked before the 4^n-entry product is built, not after.
         raise ValueError(f"{len(factors)} qubits exceeds the cap of {MAX_QUBITS}")
-    return _kron_chain(factors)
-
-
-def product_state(blochs) -> DensityOperator:
-    """Tensor product of single-qubit states given by their Bloch vectors."""
-    return DensityOperator(_product_matrix(blochs))
+    return DensityOperator(_kron_chain(factors))
 
 
 def mixture_rng(seed: int) -> np.random.Generator:

@@ -580,9 +580,14 @@ def test_parse_map_spec_grammar():
     assert parse_map_spec("1:Identity", 2) == MapSpec(((1, MapKind.IDENTITY),))
     assert parse_map_spec("2:p", 2) == MapSpec(((2, MapKind.P),))
     assert parse_map_spec(" +1 :T", 2) == MapSpec(((1, MapKind.T),))
-    for bad in ("", "1", "1:Q", "x:P", "1:P,1:T", "3:P", "all:P,2:T", "1_0:P", "٣:P"):
+    bad_specs = ("", "1", "1:Q", "x:P", "1:P,1:T", "3:P", "all:P,2:T", "1_0:P", "٣:P", "1:ı", "1:ß", "all:ıdentity")
+    for bad in bad_specs:
         with pytest.raises(CliError):
             parse_map_spec(bad, 2)
+    # str.upper would read a dotless i as I and ß as SS; non-ASCII kinds are reported as typed.
+    for bad in ("ı", "ß"):
+        with pytest.raises(CliError, match=f"^unknown map kind '{bad}'; choose from P, T, H, X, I$"):
+            parse_map_spec(f"1:{bad}", 2)
     # int() would read these as qubits 10 and 3, both in range here.
     for bad in ("1_0", "٣"):
         with pytest.raises(CliError, match=f"^bad qubit index '{bad}'$"):
@@ -737,7 +742,8 @@ def test_detect_tol_override_relaxes_verdict(tmp_path, capsys):
     assert main(["detect", str(path), "map", "--spec", "2:P", "--tol", "0.01"]) == 1
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "1e-10", "nan", "inf"])
+# float() would read the last three as 10, 1 and 0.01 and run the check.
+@pytest.mark.parametrize("tol", ["-1", "0", "1e-10", "nan", "inf", "1_0", "١", "0.0_1"])
 def test_detect_rejects_bad_tol(tmp_path, capsys, tol):
     path = tmp_path / "product.json"
     main(["gen", "random-msep", "n=2", "terms=1", "seed=3", "--out", str(path)])
@@ -756,6 +762,18 @@ def test_detect_tol_below_tol_psd_exits_2_on_a_product_state(tmp_path, capsys):
         assert main(["detect", str(path), "map", "--spec", spec, "--tol", "0"]) == 2
         assert main(["detect", str(path), "map", "--spec", spec]) == 1
     assert "inseparable" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["1:ı", "1:ß", "all:ı"])
+def test_detect_rejects_non_ascii_map_kinds(tmp_path, capsys, spec):
+    path = tmp_path / "ghz3.json"
+    main(["gen", "ghz", "n=3", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["detect", str(path), "map", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown map kind")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", [["--spec", "1:P"], ["--tol", "-5"], ["--tol", "0.01"]])
@@ -945,6 +963,12 @@ def test_reproduce_isotropic_verdict_rows_print_the_common_verdict():
         "['inseparable', 'inseparable', 'inseparable', 'inseparable', 'inconclusive', 'inconclusive']",
     ]
     assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("perturb", ["1_0", "١", "x"])
+def test_reproduce_rejects_a_perturb_that_is_not_a_plain_number(capsys, perturb):
+    assert main(["reproduce", "--perturb", perturb]) == 2
+    assert capsys.readouterr() == ("", "error: --perturb must be a number\n")
 
 
 def test_reproduce_perturbation_hook_fails_rows(capsys):

@@ -100,6 +100,11 @@ def test_map_spec_validation():
     with pytest.raises(ValueError, match="out of range"):
         spec.validate_for(1)
     assert str(MapSpec(((2, MapKind.T), (1, MapKind.P)))) == "1:P,2:T"
+    # Stored by qubit, so the order the entries are listed in does not matter.
+    shuffled = MapSpec(((3, MapKind.X), (1, MapKind.T), (2, MapKind.T)))
+    assert shuffled.assignments == ((1, MapKind.T), (2, MapKind.T), (3, MapKind.X))
+    assert shuffled == MapSpec(((1, MapKind.T), (2, MapKind.T), (3, MapKind.X)))
+    assert hash(shuffled) == hash(MapSpec(((2, MapKind.T), (3, MapKind.X), (1, MapKind.T))))
 
 
 # ---------------------------------------------------------------- partial application

@@ -18,7 +18,7 @@ import pytest
 
 from insep import maps, reproduce
 from insep.criteria import Verdict, hamming_offdiagonal_check, lz_antidiagonal_check
-from insep.linalg import min_eigenvalue
+from insep.linalg import HermitianOperator, min_eigenvalue
 from insep.maps import MapKind, apply_on_qubit, apply_on_qubit_dense, apply_product
 from insep.reproduce import Harness, _random_density, _random_hermitian_trace_one, _soundness_specs
 from insep.states import mixture_rng, random_multiseparable
@@ -47,7 +47,7 @@ def per_matrix_decomposition(h):
     rng = mixture_rng(20260808)
     dev = 0.0
     for _ in range(1000):
-        rho = _random_hermitian_trace_one(rng)
+        rho = HermitianOperator(_random_hermitian_trace_one(rng), 2)
         lhs = apply_on_qubit(rho, 2, MapKind.P).matrix
         flipped = apply_on_qubit(apply_on_qubit(rho, 2, MapKind.T), 2, MapKind.X).matrix
         rhs = (rho.matrix + flipped) / 2
@@ -65,7 +65,7 @@ def per_matrix_elementwise_vs_dense(h):
     for n in (2, 3, 4):
         dev = 0.0
         for _ in range(200):
-            rho = _random_density(rng, n)
+            rho = HermitianOperator(_random_density(rng, n), n)
             for k in range(1, n + 1):
                 for kind in MapKind:
                     fast = apply_on_qubit(rho, k, kind).matrix
@@ -117,3 +117,25 @@ def test_batched_check_equals_the_per_matrix_loop(monkeypatch, per_matrix_runs, 
     expected_rows, expected_seen = per_matrix_runs[batched]
     assert rows == expected_rows
     assert seen == expected_seen
+
+
+def test_each_closed_form_state_is_built_once(monkeypatch):
+    # Four Bell states at each of six s values, and one state per p value.
+    calls = Counter()
+
+    def counting(name):
+        build = getattr(reproduce, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+
+        return wrapper
+
+    for name in ("isotropic", "pure_superposition"):
+        monkeypatch.setattr(reproduce, name, counting(name))
+    h = Harness()
+    reproduce.check_isotropic(h)
+    reproduce.check_pure_state(h)
+    assert calls == {"isotropic": 24, "pure_superposition": 7}
+    assert all(r.passed for r in h.rows)
