@@ -225,7 +225,8 @@ def load_operator(path) -> tuple[HermitianOperator, dict]:
         # An inf entry meets inf - inf in the operator's check, which rejects
         # it; numpy's warning about that would only repeat the error.
         with np.errstate(invalid="ignore"):
-            op = HermitianOperator(arr[..., 0] + 1j * arr[..., 1], n)
+            # The complex view keeps each pair's exact bits, -0.0 included.
+            op = HermitianOperator(np.ascontiguousarray(arr).view(np.complex128)[..., 0], n)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return op, meta

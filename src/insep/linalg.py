@@ -33,7 +33,8 @@ class HermitianOperator:
 
     The wrapped array is a read-only complex128 copy; instances are immutable
     values and safe to share across threads. Outputs of the positive maps in
-    :mod:`insep.maps` live here and may be non-positive.
+    :mod:`insep.maps` live here and may be non-positive; they are built by
+    _derived, which skips the checks their validated input already passed.
     """
 
     __slots__ = ("matrix", "n_qubits")
@@ -63,6 +64,25 @@ class HermitianOperator:
         m.setflags(write=False)
         self.matrix = m
         self.n_qubits = n_qubits
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, n_qubits: int, source: np.ndarray) -> HermitianOperator:
+        """Wrap a complex128 matrix derived from a validated ``source``, unchecked.
+
+        Skips __init__: no shape, finiteness or Hermiticity pass. The caller
+        vouches that ``matrix`` is d x d for its ``n_qubits`` and no further
+        from Hermitian than the checked ``source`` it came from. The matrix
+        is stored as is when it is C-contiguous and its memory is its own,
+        and copied when it is strided or may share memory with ``source``,
+        so the stored array is always a fresh, read-only, C-contiguous one.
+        """
+        if not matrix.flags.c_contiguous or np.may_share_memory(matrix, source):
+            matrix = matrix.copy()
+        matrix.setflags(write=False)
+        op = cls.__new__(cls)
+        op.matrix = matrix
+        op.n_qubits = n_qubits
+        return op
 
     @property
     def dim(self) -> int:

@@ -69,11 +69,23 @@ _ON_2X2 = {
 }
 
 
+def _require_operator(rho) -> None:
+    # The outputs below are wrapped unchecked, so only a validated operator
+    # may come in.
+    if not isinstance(rho, HermitianOperator):
+        raise TypeError(f"expected a HermitianOperator, got {type(rho).__name__}")
+
+
 def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
-    """Population averaging: diagonal entries -> their mean, coherences kept."""
+    """Population averaging: diagonal entries -> their mean, coherences kept.
+
+    The output is wrapped without a second Hermiticity check; see
+    apply_on_qubit for why that is safe.
+    """
+    _require_operator(sigma)
     if sigma.n_qubits != 1:
         raise ValueError("map is defined on a single qubit (2x2 input)")
-    return HermitianOperator(_p2(sigma.matrix), 1)
+    return HermitianOperator._derived(_p2(sigma.matrix), 1, sigma.matrix)
 
 
 @dataclass(frozen=True)
@@ -153,12 +165,23 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
     element index pair as (..x.., ..y..) with x, y the k-th bits, the P rule
     averages the two x = y partner elements (k-th bits 00 and 11) and keeps
     x != y elements; T, H, X, I act by their direct block rules.
+
+    rho must be a HermitianOperator, already validated, and the output is
+    wrapped without a second Hermiticity check. Write dev(A) = max|A - A^H|.
+    T, X, H and I only move and negate entries, and they move each entry
+    and its Hermitian partner to a pair of partners, so dev(out) = dev(rho)
+    exactly. P replaces each pair of partner entries by their mean, whose
+    only rounding is that of the sum: dev(out) <= dev(rho) + 2u max|rho|,
+    with u = 2^-53 (one rounding per averaged entry). An input within
+    TOL_HERM therefore gives an output within TOL_HERM + 2u max|rho|.
     """
+    _require_operator(rho)
     n = rho.n_qubits
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
-    # HermitianOperator copies whatever it is given into a fresh array.
-    return HermitianOperator(_map_qubit(rho.matrix, n, k, kind), n)
+    # The T, X and I results may be views of rho's matrix; _derived copies
+    # those, and keeps a fresh kernel output as it is.
+    return HermitianOperator._derived(_map_qubit(rho.matrix, n, k, kind), n, rho.matrix)
 
 
 def _dense_map_qubit(ms: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:
@@ -204,8 +227,11 @@ def apply_product(rho: HermitianOperator, spec: MapSpec) -> HermitianOperator:
     """Apply spec's single-qubit maps in ascending qubit order.
 
     The assignments act on disjoint qubits, so the order does not matter;
-    ascending order just makes runs reproducible.
+    ascending order just makes runs reproducible. Each step is one
+    apply_on_qubit, so at most n P steps add at most 2 n u max|rho| to the
+    input's Hermiticity deviation.
     """
+    _require_operator(rho)
     spec.validate_for(rho.n_qubits)
     out = rho
     for q, kind in spec.assignments:

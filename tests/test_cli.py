@@ -38,6 +38,21 @@ def test_save_load_save_is_byte_identical(tmp_path):
     assert serialize_operator(op, meta).encode() == original
 
 
+def test_h_map_file_with_negative_zeros_round_trips(tmp_path, bell_file):
+    # The H map negates zeros, so this file holds [-0.0,-0.0] pairs; each
+    # must load with the sign of both parts, in either reader.
+    path = tmp_path / "h.json"
+    assert main(["apply", str(bell_file), "1:H", "--out", str(path)]) == 0
+    original = path.read_bytes()
+    assert b"[-0.0,-0.0]" in original
+    op, meta = load_operator(path)
+    assert serialize_operator(op, meta).encode() == original
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(json.loads(original), indent=1))
+    again, _ = load_operator(nested)
+    assert again.matrix.view(np.int64).tolist() == op.matrix.view(np.int64).tolist()
+
+
 def test_gen_to_stdout(capsys):
     assert main(["gen", "ghz", "n=2"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -742,12 +757,15 @@ def test_detect_tol_override_relaxes_verdict(tmp_path, capsys):
     assert main(["detect", str(path), "map", "--spec", "2:P", "--tol", "0.01"]) == 1
 
 
-# float() would read the last three as 10, 1 and 0.01 and run the check.
-@pytest.mark.parametrize("tol", ["-1", "0", "1e-10", "nan", "inf", "1_0", "١", "0.0_1"])
+# float() would read "1_0", "١" and "0.0_1" as 10, 1 and 0.01 and run the
+# check. A value given as "=VALUE" is passed as --tol=VALUE, the form a
+# negative value in exponent form needs to reach the range check.
+@pytest.mark.parametrize("tol", ["-1", "0", "1e-10", "nan", "inf", "1_0", "١", "0.0_1", "=-1e-3"])
 def test_detect_rejects_bad_tol(tmp_path, capsys, tol):
     path = tmp_path / "product.json"
     main(["gen", "random-msep", "n=2", "terms=1", "seed=3", "--out", str(path)])
-    assert main(["detect", str(path), "map", "--spec", "1:I", "--tol", tol]) == 2
+    tol_args = ["--tol" + tol] if tol.startswith("=") else ["--tol", tol]
+    assert main(["detect", str(path), "map", "--spec", "1:I", *tol_args]) == 2
     captured = capsys.readouterr()
     assert "verdict" not in captured.out
     assert "tolerance" in captured.err
@@ -969,6 +987,14 @@ def test_reproduce_isotropic_verdict_rows_print_the_common_verdict():
 def test_reproduce_rejects_a_perturb_that_is_not_a_plain_number(capsys, perturb):
     assert main(["reproduce", "--perturb", perturb]) == 2
     assert capsys.readouterr() == ("", "error: --perturb must be a number\n")
+
+
+def test_reproduce_takes_a_negative_exponent_perturb_in_the_equals_form(capsys):
+    code = main(["reproduce", "--perturb=-1e-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "17/45 checks passed"
 
 
 def test_reproduce_perturbation_hook_fails_rows(capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from insep import (
     lambda_p,
     min_eigenvalue,
 )
+from insep.cli import serialize_operator
+from insep.criteria import Verdict, map_negativity_check
+from insep.linalg import TOL_HERM
 from insep.maps import _ON_2X2, _dense_map_qubit, _map_qubit
-from insep.states import isotropic, product_state, pure_superposition, random_bloch, mixture_rng
+from insep.states import ghz, isotropic, product_state, pure_superposition, random_bloch, mixture_rng
 
 
 def random_hermitian(rng, dim):
@@ -127,11 +132,75 @@ def test_apply_on_single_qubit_matches_2x2_rule(kind):
 
 @pytest.mark.parametrize("kind", list(MapKind))
 def test_apply_on_qubit_returns_a_fresh_read_only_array(kind):
-    op = random_density(np.random.default_rng(20), 3)
-    for k in (1, 2, 3):
-        out = apply_on_qubit(op, k, kind)
-        assert not out.matrix.flags.writeable
-        assert not np.shares_memory(out.matrix, op.matrix)
+    # At n = 1 the T and X kernels return strided views of the input, and
+    # the I kernel returns a view at every n.
+    for n in (1, 3):
+        op = random_density(np.random.default_rng(20), n)
+        for k in range(1, n + 1):
+            out = apply_on_qubit(op, k, kind)
+            assert out.matrix.flags.c_contiguous
+            assert not out.matrix.flags.writeable
+            assert not np.shares_memory(out.matrix, op.matrix)
+            entries = json.loads(serialize_operator(out))["entries"]
+            assert np.array_equal(np.array(entries).view(np.complex128)[..., 0], out.matrix)
+
+
+def test_maps_reject_an_unvalidated_matrix():
+    m = np.eye(2) / 2
+    with pytest.raises(TypeError, match="HermitianOperator"):
+        apply_on_qubit(m, 1, MapKind.P)
+    with pytest.raises(TypeError, match="HermitianOperator"):
+        lambda_p(m)
+    with pytest.raises(TypeError, match="HermitianOperator"):
+        apply_product(m, MapSpec.single(1, MapKind.T))
+
+
+def test_map_outputs_are_wrapped_without_a_hermiticity_pass(monkeypatch):
+    rho = ghz(4)
+    spec = MapSpec.all_qubits(4, MapKind.P)
+    calls = []
+    checked_init = HermitianOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        checked_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", counting_init)
+    out = apply_product(rho, spec)
+    report = map_negativity_check(rho, spec)
+    assert calls == []
+    assert type(out) is HermitianOperator and out.n_qubits == 4
+    assert report.verdict is Verdict.INSEPARABLE
+
+
+def _hermiticity_deviation(m):
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maps_do_not_increase_a_hermiticity_deviation(n):
+    # T, X, H and I move and negate partner pairs, so the deviation is kept
+    # exactly; P's averages add at most one rounding each, 2u max|in|.
+    u = np.finfo(np.float64).eps / 2
+    rng = np.random.default_rng(60 + n)
+    d = 1 << n
+    for _ in range(20):
+        h = random_hermitian(rng, d).matrix
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        near = h + noise * (TOL_HERM / 3 * rng.uniform() / np.max(np.abs(noise)))
+        op = HermitianOperator(near, n)
+        dev_in = _hermiticity_deviation(op.matrix)
+        assert 0 < dev_in <= TOL_HERM
+        exact = HermitianOperator(h, n)
+        assert _hermiticity_deviation(exact.matrix) == 0
+        for k in range(1, n + 1):
+            for kind in MapKind:
+                dev_out = _hermiticity_deviation(apply_on_qubit(op, k, kind).matrix)
+                if kind is MapKind.P:
+                    assert dev_out <= dev_in + 2 * u * np.max(np.abs(op.matrix))
+                else:
+                    assert dev_out <= dev_in
+                assert _hermiticity_deviation(apply_on_qubit(exact, k, kind).matrix) == 0
 
 
 def test_apply_out_of_range_qubit():
