@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -413,8 +414,26 @@ def _cmd_reproduce(args) -> int:
     return 0 if passed == len(rows) else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse, reading a negative number in exponent form as a value.
+
+    argparse takes a token that starts with '-' for an option unless it
+    matches the parser's negative-number pattern, which on some Python
+    versions (3.11 among them) lacks the exponent form: `--perturb -1e-3`
+    would exit 2 with "expected one argument" while `--perturb -0.001`
+    runs. The pattern gains that one form; every other token parses as
+    before. Subparsers are built with the parent's class, so they gain it too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="insep",
         description="Detect n-qubit full inseparability of stored density operators.",
     )

@@ -83,29 +83,62 @@ class DetectionReport:
             raise ValueError("an inseparability verdict requires a witness")
 
 
-def _best_offdiagonal(blocks) -> OffDiagonalWitness | None:
-    """Largest bound violation |m_ab| - 2^-h(a,b) over the pairs a > b of blocks.
+def _margins(values, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Bound violations |m_ab| - 2^-h(a,b), -inf at the pairs a <= b, and a ^ b.
 
-    Each block is (values, a, b) with values[i, j] = m[a[i, 0], b[i, j]]: a is
-    a column of row indices and b broadcasts against it. Pairs with a <= b
-    are masked out, as Hermiticity makes them redundant. Blocks come in
+    values[..., i, j] = m[..., a[i, 0], b[i, j]]: a is a column of row
+    indices and b broadcasts against it. Pairs with a <= b are masked out,
+    as Hermiticity makes them redundant.
+    """
+    ab = a ^ b
+    margins = np.abs(values) - _HALF_POWERS[np.bitwise_count(ab)]
+    np.copyto(margins, -np.inf, where=a <= b)
+    return margins, ab
+
+
+def _violates(margin):
+    """The off-diagonal checks' one acceptance rule: a margin above TOL_CRIT."""
+    return margin > TOL_CRIT
+
+
+def _best_offdiagonal(blocks) -> OffDiagonalWitness | None:
+    """The pair a > b of largest margin over blocks, if that margin violates its bound.
+
+    Each block is (values, a, b) as _margins takes them. Blocks come in
     lexicographic order and only a strictly larger margin replaces the best,
     so the smallest (a, b) wins a tie, which keeps witnesses deterministic.
     """
-    best, found = TOL_CRIT, None
+    best, found = -np.inf, None
     for values, a, b in blocks:
-        ab = a ^ b
-        margins = np.abs(values) - _HALF_POWERS[np.bitwise_count(ab)]
-        margins[a <= b] = -np.inf
+        margins, ab = _margins(values, a, b)
         k = int(margins.argmax())
         if margins.item(k) > best:
             best, found = margins.item(k), (values, a, ab, k)
-    if found is None:
+    if not _violates(best):
         return None
     values, a, ab, k = found
     row, diff = a.item(k // values.shape[1]), ab.item(k)
     h = diff.bit_count()
     return OffDiagonalWitness(a=row, b=row ^ diff, value=values.item(k), hamming_distance=h, bound=0.5**h)
+
+
+def _antidiagonal_pairs(d: int):
+    """(a, b) of the antidiagonal pairs a > b, as _margins takes them."""
+    a = np.arange(d // 2, d)[:, None]
+    return a, d - 1 - a
+
+
+def _stack_best_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix's largest lz and hamming margin, for an (m, d, d) stack.
+
+    The margins are those lz_antidiagonal_check and hamming_offdiagonal_check
+    take their witnesses from, so _violates(margin) is their verdict. The
+    whole stack is scanned at once, so it suits small d only.
+    """
+    a, b = _antidiagonal_pairs(stack.shape[-1])
+    i = np.arange(stack.shape[-1])
+    lz = _margins(stack[:, a, b], a, b)[0].max(axis=(1, 2))
+    return lz, _margins(stack, i[:, None], i)[0].max(axis=(1, 2))
 
 
 def _offdiagonal_report(criterion: Criterion, witness: OffDiagonalWitness | None) -> DetectionReport:
@@ -120,9 +153,7 @@ def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
     Inseparable if some antidiagonal element (a, 2^n-1-a) has modulus above
     (1/2)^n; product mixtures cannot exceed that bound.
     """
-    d = 1 << rho.n_qubits
-    a = np.arange(d // 2, d)[:, None]
-    b = d - 1 - a
+    a, b = _antidiagonal_pairs(1 << rho.n_qubits)
     witness = _best_offdiagonal([(rho.matrix[a, b], a, b)])
     return _offdiagonal_report(Criterion.LZ_ANTIDIAGONAL, witness)
 

@@ -156,6 +156,25 @@ class DensityOperator(HermitianOperator):
             raise ValueError(f"minimum eigenvalue {lo:.3e} is below -{TOL_PSD}")
 
 
+def _validate_density_stack(stack: np.ndarray) -> None:
+    """Check every matrix of an (m, 2^n, 2^n) stack by DensityOperator's rules.
+
+    Finiteness, Hermiticity within TOL_HERM and the trace within TOL_TRACE
+    are checked for the whole stack at once; the shifted-Cholesky
+    certificate runs per matrix, as a stacked one slows the single-matrix
+    call. A matrix these do not settle is handed to DensityOperator, which
+    decides it by its eigensolve fallback or raises its own ValueError, so
+    the first rejected matrix of the stack raises what it would raise alone.
+    """
+    # NaN fails both comparisons, so a non-finite matrix is never settled.
+    dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = stack.trace(axis1=-2, axis2=-1).real
+    settled = (dev <= TOL_HERM) & (np.abs(tr - 1.0) <= TOL_TRACE)
+    for matrix, ok in zip(stack, settled.tolist()):
+        if not (ok and _psd_certified(matrix, TOL_PSD)):
+            DensityOperator(matrix)
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Coordinates (x, y, z) of a single-qubit state in the radius-1/2 ball."""

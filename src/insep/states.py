@@ -91,15 +91,17 @@ def ghz(n: int) -> DensityOperator:
 
 
 def _kron_chain(factors) -> np.ndarray:
-    """Kronecker product of square arrays, the first leftmost.
+    """Kronecker product over the last two axes of (..., k, k) arrays, the first leftmost.
 
-    Each step broadcasts out[i, k] * g[j, l] to index (i, j, k, l) and
-    reshapes, which forms the same products as np.kron in the same order.
+    Each step broadcasts out[..., i, k] * g[..., j, l] to index (..., i, j, k, l)
+    and reshapes, which forms the same products as np.kron in the same order
+    for every matrix of the leading axes.
     """
     out = factors[0]
     for g in factors[1:]:
-        m = out.shape[0] * g.shape[0]
-        out = (out[:, None, :, None] * g[None, :, None, :]).reshape(m, m)
+        m = out.shape[-1] * g.shape[-1]
+        prod = out[..., :, None, :, None] * g[..., None, :, None, :]
+        out = prod.reshape(*prod.shape[:-4], m, m)
     return out
 
 
@@ -147,31 +149,47 @@ def _bloch_points(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def _multiseparable_stack(n: int, terms: int, seeds) -> np.ndarray:
+    """(len(seeds), 2^n, 2^n) array of random_multiseparable(n, terms, seed)'s matrices.
+
+    Each seed draws from its own mixture_rng(seed), and the terms are added
+    one at a time into zeros, so every matrix is bit for bit the one built
+    for its seed alone. The matrices are not validated.
+    """
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    count = len(seeds)
+    weights = np.empty((terms, count))
+    xyz = np.empty((count, terms * n, 3))
+    for j, seed in enumerate(seeds):
+        rng = mixture_rng(seed)
+        w = rng.uniform(0, 1, terms)
+        weights[:, j] = w / w.sum()
+        xyz[j] = _bloch_points(rng, terms * n)
+    # Axes (term, qubit, seed): factors[t] is term t's chain of (count, 2, 2) factors.
+    xyz = xyz.reshape(count, terms, n, 3).transpose(1, 2, 0, 3)
+    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
+    # _bloch_matrix's entries, for every factor at once; the accepted points
+    # lie in the ball, so no factor needs its radius check.
+    factors = np.empty((terms, n, count, 2, 2), dtype=np.complex128)
+    factors[..., 0, 0] = 0.5 + z
+    factors[..., 0, 1] = x - 1j * y
+    factors[..., 1, 0] = x + 1j * y
+    factors[..., 1, 1] = 0.5 - z
+    d = 1 << n
+    acc = np.zeros((count, d, d), dtype=np.complex128)
+    # One term at a time keeps memory at O(count d^2) rather than O(terms count d^2).
+    for w, term in zip(weights, factors):
+        acc += w[:, None, None] * _kron_chain(term)
+    return acc
+
+
 def random_multiseparable(n: int, terms: int, seed: int) -> DensityOperator:
     """Convex mixture of `terms` random n-fold product states.
 
     Weights are normalized uniform(0,1) draws; every single-qubit factor is
     drawn uniformly from the Bloch ball. Deterministic given the seed.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    rng = mixture_rng(seed)
-    weights = rng.uniform(0, 1, terms)
-    weights /= weights.sum()
-    xyz = _bloch_points(rng, terms * n).reshape(terms, n, 3)
-    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
-    # _bloch_matrix's entries, for every factor at once; the accepted points
-    # lie in the ball, so no factor needs its radius check.
-    factors = np.empty((terms, n, 2, 2), dtype=np.complex128)
-    factors[..., 0, 0] = 0.5 + z
-    factors[..., 0, 1] = x - 1j * y
-    factors[..., 1, 0] = x + 1j * y
-    factors[..., 1, 1] = 0.5 - z
-    d = 1 << n
-    acc = np.zeros((d, d), dtype=np.complex128)
-    # One term at a time keeps memory at O(d^2) rather than O(terms d^2).
-    for w, term in zip(weights, factors):
-        acc += w * _kron_chain(term)
-    return DensityOperator(acc, n)
+    return DensityOperator(_multiseparable_stack(n, terms, [seed])[0], n)

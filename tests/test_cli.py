@@ -758,9 +758,9 @@ def test_detect_tol_override_relaxes_verdict(tmp_path, capsys):
 
 
 # float() would read "1_0", "١" and "0.0_1" as 10, 1 and 0.01 and run the
-# check. A value given as "=VALUE" is passed as --tol=VALUE, the form a
-# negative value in exponent form needs to reach the range check.
-@pytest.mark.parametrize("tol", ["-1", "0", "1e-10", "nan", "inf", "1_0", "١", "0.0_1", "=-1e-3"])
+# check. A value given as "=VALUE" is passed as --tol=VALUE; a negative value
+# in exponent form reaches the range check in both forms.
+@pytest.mark.parametrize("tol", ["-1", "0", "1e-10", "nan", "inf", "1_0", "١", "0.0_1", "=-1e-3", "-1e-3"])
 def test_detect_rejects_bad_tol(tmp_path, capsys, tol):
     path = tmp_path / "product.json"
     main(["gen", "random-msep", "n=2", "terms=1", "seed=3", "--out", str(path)])
@@ -995,6 +995,23 @@ def test_reproduce_takes_a_negative_exponent_perturb_in_the_equals_form(capsys):
     assert code == 1
     assert captured.err == ""
     assert captured.out.splitlines()[-1] == "17/45 checks passed"
+
+
+def test_reproduce_takes_a_negative_exponent_perturb_in_the_space_form(capsys):
+    assert main(["reproduce", "--perturb=-1e-3"]) == 1
+    equals_form = capsys.readouterr()
+    assert main(["reproduce", "--perturb", "-1e-3"]) == 1
+    assert capsys.readouterr() == equals_form
+
+
+# Only a negative number in exponent form joins the tokens argparse reads as
+# values; a token like these is still taken for an option, as before.
+@pytest.mark.parametrize("token", ["-x", "-e3", "-1e", "-1.", "-inf", "-1e-3x", "-١e3"])
+def test_other_dash_tokens_after_perturb_still_exit_2(capsys, token):
+    with pytest.raises(SystemExit) as err:
+        main(["reproduce", "--perturb", token])
+    assert err.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_reproduce_perturbation_hook_fails_rows(capsys):

@@ -20,11 +20,12 @@ from insep import (
     map_negativity_check,
     min_eigenvalue,
 )
-from insep.criteria import _HALF_POWERS, TOL_CRIT, _best_offdiagonal
+from insep.criteria import _HALF_POWERS, TOL_CRIT, _best_offdiagonal, _stack_best_margins, _violates
 from insep.linalg import TOL_PSD, _psd_certified
 from insep.reproduce import _soundness_specs
 from insep.states import (
     Bell,
+    _multiseparable_stack,
     bell_state,
     ghz,
     horodecki_b,
@@ -537,6 +538,28 @@ def test_soundness_on_random_product_mixtures():
             assert hamming_offdiagonal_check(rho).verdict is Verdict.INCONCLUSIVE
             spec = MapSpec.all_qubits(n, MapKind.P)
             assert map_negativity_check(rho, spec).verdict is Verdict.INCONCLUSIVE
+
+
+def test_stacked_margins_agree_with_the_per_matrix_checks():
+    # Product mixtures never fire. GHZ and most of the entrywise-nonnegative
+    # mixtures fire both checks, horodecki_b(0.1) only the hamming one.
+    rng = mixture_rng(8)
+    stacks = [_multiseparable_stack(n, terms, range(10, 16)) for n in (2, 3, 4) for terms in (1, 3)]
+    nonneg = [nonneg_mixture(rng, 3, 2).matrix for _ in range(30)]
+    stacks.append(np.stack([ghz(3).matrix, horodecki_b(0.1).matrix, *nonneg]))
+    stacks.append(np.stack([ghz(4).matrix, random_multiseparable(4, 2, 9).matrix]))
+    fired = {Criterion.LZ_ANTIDIAGONAL: 0, Criterion.HAMMING_OFFDIAGONAL: 0}
+    for stack in stacks:
+        for matrix, *margins in zip(stack, *_stack_best_margins(stack)):
+            rho = DensityOperator(matrix)
+            for check, margin in zip((lz_antidiagonal_check, hamming_offdiagonal_check), margins):
+                report = check(rho)
+                assert _violates(margin) == (report.verdict is Verdict.INSEPARABLE)
+                if report.verdict is Verdict.INSEPARABLE:
+                    assert margin == report.witness.margin
+                    fired[report.criterion] += 1
+    assert fired[Criterion.LZ_ANTIDIAGONAL] >= 2
+    assert fired[Criterion.HAMMING_OFFDIAGONAL] > fired[Criterion.LZ_ANTIDIAGONAL]
 
 
 def test_criteria_inconclusive_on_bell_mixture_without_corner():

@@ -15,7 +15,7 @@ from insep import (
     tensor,
 )
 from insep.criteria import Verdict, map_negativity_check
-from insep.linalg import _psd_certified
+from insep.linalg import _psd_certified, _validate_density_stack
 from insep.maps import MapKind, MapSpec, apply_product
 from insep.states import product_state
 
@@ -275,6 +275,59 @@ def test_psd_certificate_declines_nan():
     m = np.eye(2) / 2
     m[1, 1] = np.nan
     assert not _psd_certified(m, TOL_PSD)
+
+
+def _bad_density(kind, rng, d):
+    m = planted_spectrum(rng, d, 0.01)
+    if kind == "nan":
+        m[3, 5] = np.nan
+    elif kind == "non-hermitian":
+        m[0, 1] += 1e-6
+    elif kind == "trace 0.9":
+        m *= 0.9
+    else:
+        m = planted_spectrum(rng, d, -1e-6)
+    return m
+
+
+def _raised(validate, m):
+    with pytest.raises(ValueError) as err:
+        validate(m)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("kind", ["nan", "non-hermitian", "trace 0.9", "non-psd"])
+def test_stacked_validation_raises_what_density_operator_raises(kind, position):
+    rng = np.random.default_rng(17)
+    good = [planted_spectrum(rng, 8, 0.01) for _ in range(4)]
+    bad = _bad_density(kind, rng, 8)
+    stack = np.stack(good[:position] + [bad] + good[position:])
+    assert _raised(_validate_density_stack, stack) == _raised(DensityOperator, bad)
+    _validate_density_stack(np.stack(good))
+
+
+def test_stacked_validation_raises_for_the_first_bad_matrix():
+    rng = np.random.default_rng(18)
+    first, second = _bad_density("trace 0.9", rng, 4), _bad_density("non-psd", rng, 4)
+    stack = np.stack([planted_spectrum(rng, 4, 0.01), first, second])
+    assert _raised(_validate_density_stack, stack) == _raised(DensityOperator, first)
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_stacked_validation_decides_the_psd_boundary_as_density_operator(d):
+    # Between -TOL_PSD and the certificate's floor -3*TOL_PSD/4 only the
+    # eigensolve fallback accepts a matrix; below -TOL_PSD it rejects.
+    rng = np.random.default_rng(d)
+    for low in BOUNDARY:
+        m = planted_spectrum(rng, d, low)
+        stack = np.stack([planted_spectrum(rng, d, 0.0), m, planted_spectrum(rng, d, 0.01)])
+        try:
+            DensityOperator(m)
+        except ValueError as exc:
+            assert _raised(_validate_density_stack, stack) == str(exc)
+        else:
+            _validate_density_stack(stack)
 
 
 # ---------------------------------------------------------------- hamming

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from insep import maps, reproduce
+from insep import linalg, maps, reproduce, states
 from insep.criteria import Verdict, hamming_offdiagonal_check, lz_antidiagonal_check
 from insep.linalg import HermitianOperator, min_eigenvalue
 from insep.maps import MapKind, apply_on_qubit, apply_on_qubit_dense, apply_product
@@ -138,4 +138,33 @@ def test_each_closed_form_state_is_built_once(monkeypatch):
     reproduce.check_isotropic(h)
     reproduce.check_pure_state(h)
     assert calls == {"isotropic": 24, "pure_superposition": 7}
+    assert all(r.passed for r in h.rows)
+
+
+def test_soundness_builds_validates_and_scans_stacks(monkeypatch):
+    # The 3000 states are built as stacks, with no random_multiseparable call
+    # and no DensityOperator apiece, yet every one of them is validated.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    build = counting("build", states.random_multiseparable)
+    for module in (states, reproduce):
+        monkeypatch.setattr(module, "random_multiseparable", build, raising=False)
+    monkeypatch.setattr(linalg.DensityOperator, "__init__", counting("wrap", linalg.DensityOperator.__init__))
+    validate = reproduce._validate_density_stack
+
+    def validating(stack):
+        calls["validated"] += len(stack)
+        validate(stack)
+
+    monkeypatch.setattr(reproduce, "_validate_density_stack", validating)
+    h = Harness()
+    reproduce.check_soundness(h)
+    assert calls == {"validated": 3000}
     assert all(r.passed for r in h.rows)

@@ -21,6 +21,7 @@ from insep.linalg import _bloch_matrix
 from insep.states import (
     Bell,
     _bloch_points,
+    _multiseparable_stack,
     bell_ket,
     bell_state,
     ghz,
@@ -281,6 +282,17 @@ def test_random_multiseparable_matches_reference_builder(n):
         for seed in (3, 11):
             got = random_multiseparable(n, terms, seed).matrix
             assert got.tobytes() == _reference_multiseparable(n, terms, seed).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_multiseparable_stack_matches_each_seed_built_alone(n):
+    for terms in range(1, 8):
+        for seeds in ([5], [11, 3], [0, 1, 7, 42, 3, 2**31 - 1, 2**128 - 1]):
+            stack = _multiseparable_stack(n, terms, seeds)
+            assert stack.shape == (len(seeds), 1 << n, 1 << n)
+            for matrix, seed in zip(stack, seeds):
+                assert matrix.tobytes() == random_multiseparable(n, terms, seed).matrix.tobytes()
+                assert matrix.tobytes() == _reference_multiseparable(n, terms, seed).tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, -(2**200)])
