@@ -19,7 +19,7 @@ their number bytes deleted the entries must be the rows the writer's template
 gives, with no [re, im] slot empty. Any other JSON file is read as nested
 lists, to the same values and errors.
 
-``detect ... map --tol`` must be finite and at least TOL_PSD (1e-9).
+A ``detect --tol`` must be finite and at least TOL_PSD (1e-9).
 
 Exit codes: 0 = success (and "inseparable" for detect), 1 = inconclusive /
 failed reproduce checks, 2 = error.
@@ -36,25 +36,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import (
-    DetectionReport,
-    EigenvalueWitness,
-    OffDiagonalWitness,
-    Verdict,
-    hamming_offdiagonal_check,
-    lz_antidiagonal_check,
-    map_negativity_check,
-)
+from . import criteria, states
+from .criteria import DetectionReport, Verdict
 from .linalg import (
     MAX_QUBITS,
-    TOL_PSD,
     DensityOperator,
     HermitianOperator,
     min_eigenvalue,
 )
 from .maps import MapKind, MapSpec, apply_product
 from .reproduce import run_all
-from .states import Bell, ghz, horodecki_b, isotropic, pure_superposition, random_multiseparable
+from .states import Bell
 
 
 class CliError(Exception):
@@ -290,14 +282,14 @@ def _parse_params(pairs) -> dict[str, str]:
     return out
 
 
-# Each family's builder and its keyword parameters in reading order, as
-# (name, parser, default text); a default of None makes the parameter required.
+# Each family's builder, named in insep.states, and its keyword parameters in
+# reading order, as (name, parser, default text); a None default makes one required.
 _FAMILIES = {
-    "horodecki-b": (horodecki_b, [("b", float, None)]),
-    "isotropic": (isotropic, [("s", float, None), ("bell", Bell, "phi+")]),
-    "pure-p": (pure_superposition, [("p", float, None)]),
-    "ghz": (ghz, [("n", int, None)]),
-    "random-msep": (random_multiseparable, [("n", int, None), ("terms", int, "4"), ("seed", int, "0")]),
+    "horodecki-b": ("horodecki_b", [("b", float, None)]),
+    "isotropic": ("isotropic", [("s", float, None), ("bell", Bell, "phi+")]),
+    "pure-p": ("pure_superposition", [("p", float, None)]),
+    "ghz": ("ghz", [("n", int, None)]),
+    "random-msep": ("random_multiseparable", [("n", int, None), ("terms", int, "4"), ("seed", int, "0")]),
 }
 _PARSE_ERRORS = {
     float: "parameter {key} must be a number",
@@ -310,7 +302,7 @@ def _generate(family: str, params: dict[str, str]):
     label = params.pop("label", None)
     if family not in _FAMILIES:
         raise CliError(f"unknown family {family!r}; choose from {', '.join(_FAMILIES)}")
-    build, signature = _FAMILIES[family]
+    builder, signature = _FAMILIES[family]
     values = {}
     for key, kind, default in signature:
         text = params.pop(key, default)
@@ -318,7 +310,7 @@ def _generate(family: str, params: dict[str, str]):
             raise CliError(f"missing required parameter {key}=...")
         values[key] = _parse(text, kind, _PARSE_ERRORS[kind].format(key=key, text=text))
     # The builder's own range errors come before the unexpected-parameter one.
-    op = build(**values)
+    op = getattr(states, builder)(**values)
     if params:
         raise CliError(f"unexpected parameters for {family}: {', '.join(sorted(params))}")
     recorded = {k: v.value if isinstance(v, Bell) else v for k, v in values.items()}
@@ -349,48 +341,55 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-def _complex_str(c: complex) -> str:
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}j"
+def _text(value) -> str:
+    """A report value as detect prints it."""
+    if isinstance(value, np.ndarray):  # complex128
+        return _pairs_template(value.size) % tuple(value.view(np.float64).tolist())
+    if isinstance(value, complex):
+        sign = "+" if value.imag >= 0 else "-"
+        return f"{_fmt(value.real)}{sign}{_fmt(abs(value.imag))}j"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
 
 
 def _print_report(report: DetectionReport) -> None:
-    print(f"verdict: {report.verdict.value}")
-    print(f"criterion: {report.criterion.value}")
+    lines = [("verdict", report.verdict.value), ("criterion", report.criterion.value)]
     if report.map_spec is not None:
-        print(f"map-spec: {report.map_spec}")
-    w = report.witness
-    if isinstance(w, OffDiagonalWitness):
-        print(f"witness-element: ({w.a}, {w.b})")
-        print(f"witness-value: {_complex_str(w.value)}")
-        print(f"witness-abs: {_fmt(abs(w.value))}")
-        print(f"hamming-distance: {w.hamming_distance}")
-        print(f"bound: {_fmt(w.bound)}")
-    elif isinstance(w, EigenvalueWitness):
-        print(f"min-eigenvalue: {_fmt(w.min_eigenvalue)}")
-        v = w.eigenvector
-        print("eigenvector: " + _pairs_template(v.size) % tuple(v.view(np.float64).tolist()))
+        lines.append(("map-spec", report.map_spec))
+    if report.witness is not None:
+        lines += report.witness.lines()
+    for label, value in lines:
+        print(f"{label}: {_text(value)}")
+
+
+# Each detect method's check, named in insep.criteria, and whether it takes --spec and --tol.
+# Checks and builders are named so a wrapper on their module's attribute sees each call.
+_METHODS = {
+    "lz": ("lz_antidiagonal_check", False),
+    "hamming": ("hamming_offdiagonal_check", False),
+    "map": ("map_negativity_check", True),
+}
+_SPEC_METHODS = " or ".join(repr(m) for m, (_, takes_spec) in _METHODS.items() if takes_spec)
 
 
 def _cmd_detect(args) -> int:
+    check, takes_spec = _METHODS[args.method]
     for flag, value in (("--spec", args.spec), ("--tol", args.tol)):
-        if args.method != "map" and value is not None:
-            raise CliError(f"{flag} applies only to method 'map', not {args.method!r}")
+        if not takes_spec and value is not None:
+            raise CliError(f"{flag} applies only to method {_SPEC_METHODS}, not {args.method!r}")
     op, _ = load_operator(args.infile)
     try:
         rho = DensityOperator(op)
     except ValueError as exc:
         raise CliError(f"{args.infile}: not a density operator: {exc}") from exc
-    if args.method == "lz":
-        report = lz_antidiagonal_check(rho)
-    elif args.method == "hamming":
-        report = hamming_offdiagonal_check(rho)
-    else:
+    options = ()
+    if takes_spec:
         if not args.spec:
-            raise CliError("method 'map' requires --spec")
+            raise CliError(f"method {args.method!r} requires --spec")
         spec = parse_map_spec(args.spec, rho.n_qubits)
-        tol = TOL_PSD if args.tol is None else _parse(args.tol, float, "tolerance must be a number")
-        report = map_negativity_check(rho, spec, tol=tol)
+        options = (spec,) if args.tol is None else (spec, _parse(args.tol, float, "tolerance must be a number"))
+    report = getattr(criteria, check)(rho, *options)
     _print_report(report)
     return 0 if report.verdict is Verdict.INSEPARABLE else 1
 
@@ -453,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = sub.add_parser("detect", help="run an inseparability check")
     detect.add_argument("infile")
-    detect.add_argument("method", choices=("lz", "hamming", "map"))
-    detect.add_argument("--spec", help="map spec (required for method 'map')")
+    detect.add_argument("method", choices=_METHODS)
+    detect.add_argument("--spec", help=f"map spec (required for method {_SPEC_METHODS})")
     # A type= callable's CliError would escape main's try: --tol and --perturb are parsed by their handlers.
     detect.add_argument("--tol", help="override the negativity tolerance (exploration only)")
     detect.set_defaults(handler=_cmd_detect)

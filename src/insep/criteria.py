@@ -62,6 +62,16 @@ class OffDiagonalWitness:
     def margin(self) -> float:
         return abs(self.value) - self.bound
 
+    def lines(self) -> list[tuple[str, object]]:
+        """The (label, value) pairs a report prints, in order, with raw values."""
+        return [
+            ("witness-element", (self.a, self.b)),
+            ("witness-value", self.value),
+            ("witness-abs", abs(self.value)),
+            ("hamming-distance", self.hamming_distance),
+            ("bound", self.bound),
+        ]
+
 
 @dataclass(frozen=True)
 class EigenvalueWitness:
@@ -69,6 +79,10 @@ class EigenvalueWitness:
 
     min_eigenvalue: float
     eigenvector: np.ndarray
+
+    def lines(self) -> list[tuple[str, object]]:
+        """The (label, value) pairs a report prints, in order, with raw values."""
+        return [("min-eigenvalue", self.min_eigenvalue), ("eigenvector", self.eigenvector)]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ intermediates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,15 +94,24 @@ class MapSpec:
     """Assignment of a MapKind to each of a distinct set of qubits.
 
     Unlisted qubits receive the identity. The assignments are stored in
-    ascending qubit order, so specs that list the same entries compare equal.
-    Validity against a concrete qubit count is checked at application time.
+    ascending qubit order, each index as a Python int, so specs that list the
+    same entries compare equal. Validity against a concrete qubit count is
+    checked at application time.
     """
 
     assignments: tuple[tuple[int, MapKind], ...]
 
     def __post_init__(self):
         seen = set()
+        assignments = []
         for q, kind in self.assignments:
+            # A bool is an int to operator.index, so True would be qubit 1.
+            if isinstance(q, bool):
+                raise TypeError(f"qubit index must be an integer, got {q!r}")
+            try:
+                q = operator.index(q)
+            except TypeError:
+                raise TypeError(f"qubit index must be an integer, got {q!r}") from None
             if q < 1:
                 raise ValueError(f"qubit index {q} must be >= 1")
             if q in seen:
@@ -109,8 +119,9 @@ class MapSpec:
             if not isinstance(kind, MapKind):
                 raise TypeError(f"expected MapKind, got {kind!r}")
             seen.add(q)
+            assignments.append((q, kind))
         # The qubit is the only key: two MapKinds do not compare.
-        object.__setattr__(self, "assignments", tuple(sorted(self.assignments, key=lambda a: a[0])))
+        object.__setattr__(self, "assignments", tuple(sorted(assignments, key=lambda a: a[0])))
 
     @classmethod
     def single(cls, k: int, kind: MapKind) -> MapSpec:

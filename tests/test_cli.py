@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from insep import DensityOperator, HermitianOperator, cli, reproduce
+from insep import DensityOperator, HermitianOperator, cli, criteria, reproduce, states
 from insep.cli import load_operator, main, parse_map_spec, save_operator, serialize_operator, CliError
 from insep.maps import MapKind, MapSpec, apply_product
 from insep.states import Bell, random_multiseparable
@@ -191,8 +191,8 @@ def test_gen_names_come_from_the_family_table_and_enums(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--help"])
     assert " | ".join(families) in capsys.readouterr().out
-    for build, signature in cli._FAMILIES.values():
-        assert [key for key, _, _ in signature] == list(inspect.signature(build).parameters)
+    for builder, signature in cli._FAMILIES.values():
+        assert [key for key, _, _ in signature] == list(inspect.signature(getattr(states, builder)).parameters)
     for argv, kind, names in [
         (["gen", "nosuch"], "family 'nosuch'", families),
         (["gen", "isotropic", "s=0", "bell=x"], "bell state 'x'", [b.value for b in Bell]),
@@ -805,6 +805,98 @@ def test_detect_rejects_map_flags_for_other_methods(tmp_path, capsys, method, fl
     assert captured.err == f"error: {flag[0]} applies only to method 'map', not {method!r}\n"
 
 
+def test_detect_methods_come_from_the_method_table(capsys):
+    assert list(cli._METHODS) == ["lz", "hamming", "map"]
+    assert all(callable(getattr(criteria, check)) for check, _ in cli._METHODS.values())
+    with pytest.raises(SystemExit):
+        main(["detect", "--help"])
+    out = capsys.readouterr().out
+    assert "{lz,hamming,map}" in out
+    assert "map spec (required for method 'map')" in out
+
+
+def _phased_ghz3_file(path):
+    # (|000> - i|111>)/sqrt(2): its (7, 0) element is -0.5i, with a -0.0 real part.
+    v = np.zeros(8, dtype=complex)
+    v[0], v[7] = 1 / np.sqrt(2), -1j / np.sqrt(2)
+    save_operator(path, HermitianOperator(np.outer(v, v.conj()), 3))
+
+
+_FULL_REPORTS = [
+    (["ghz", "n=3"], ["lz"], 0, [
+        "verdict: inseparable",
+        "criterion: lz-antidiagonal",
+        "witness-element: (7, 0)",
+        "witness-value: 0.4999999999999999+0.0j",
+        "witness-abs: 0.4999999999999999",
+        "hamming-distance: 3",
+        "bound: 0.125",
+    ]),
+    (None, ["lz"], 0, [
+        "verdict: inseparable",
+        "criterion: lz-antidiagonal",
+        "witness-element: (7, 0)",
+        "witness-value: -0.0-0.4999999999999999j",
+        "witness-abs: 0.4999999999999999",
+        "hamming-distance: 3",
+        "bound: 0.125",
+    ]),
+    (["horodecki-b", "b=0.1"], ["hamming"], 0, [
+        "verdict: inseparable",
+        "criterion: hamming-offdiagonal",
+        "witness-element: (7, 4)",
+        "witness-value: 0.2926433638548882+0.0j",
+        "witness-abs: 0.2926433638548882",
+        "hamming-distance: 2",
+        "bound: 0.25",
+    ]),
+    (["horodecki-b", "b=0.5"], ["map", "--spec", "1:T"], 1, [
+        "verdict: inconclusive",
+        "criterion: map-negativity",
+        "map-spec: 1:T",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "family, method, code, lines", _FULL_REPORTS, ids=["ghz3-lz", "phased-ghz3-lz", "b0.1-hamming", "b0.5-map-1T"]
+)
+def test_detect_prints_the_pinned_report(tmp_path, capsys, family, method, code, lines):
+    path = tmp_path / "state.json"
+    if family is None:
+        _phased_ghz3_file(path)
+    else:
+        assert main(["gen", *family, "--out", str(path)]) == 0
+    assert main(["detect", str(path), *method]) == code
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (criteria, "lz_antidiagonal_check", ["lz"]),
+        (criteria, "hamming_offdiagonal_check", ["hamming"]),
+        (criteria, "map_negativity_check", ["map", "--spec", "2:P"]),
+        (states, "random_multiseparable", None),
+    ],
+    ids=["lz", "hamming", "map", "gen-random-msep"],
+)
+def test_checks_and_builders_are_looked_up_when_they_run(bell_file, capsys, monkeypatch, module, name, argv):
+    # A wrapper put on the module's attribute after import sees each call.
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    argv = ["gen", "random-msep", "n=2"] if argv is None else ["detect", str(bell_file), *argv]
+    assert main(argv) == 0
+    assert calls == [name]
+    capsys.readouterr()
+
+
 def test_detect_hamming_answers_beyond_eight_qubits(tmp_path, capsys):
     path = tmp_path / "ghz9.json"
     main(["gen", "ghz", "n=9", "--out", str(path)])
@@ -827,7 +919,7 @@ def test_unexpected_exception_exits_2(bell_file, capsys, monkeypatch, exc, messa
     def broken(rho):
         raise exc
 
-    monkeypatch.setattr(cli, "lz_antidiagonal_check", broken)
+    monkeypatch.setattr(criteria, "lz_antidiagonal_check", broken)
     assert main(["detect", str(bell_file), "lz"]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
 

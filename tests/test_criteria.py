@@ -73,6 +73,21 @@ def test_inseparable_report_requires_witness():
 
 # ---------------------------------------------------------------- antidiagonal check
 
+def test_witness_lines_give_the_report_labels_in_order():
+    off = lz_antidiagonal_check(ghz(3)).witness
+    assert off.lines() == [
+        ("witness-element", (7, 0)),
+        ("witness-value", off.value),
+        ("witness-abs", abs(off.value)),
+        ("hamming-distance", 3),
+        ("bound", 0.125),
+    ]
+    eig = map_negativity_check(ghz(3), MapSpec.all_qubits(3, MapKind.P)).witness
+    assert [label for label, _ in eig.lines()] == ["min-eigenvalue", "eigenvector"]
+    assert eig.lines()[0][1] == eig.min_eigenvalue
+    assert eig.lines()[1][1] is eig.eigenvector
+
+
 def test_lz_detects_ghz():
     report = lz_antidiagonal_check(ghz(3))
     assert report.verdict is Verdict.INSEPARABLE

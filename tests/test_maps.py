@@ -112,6 +112,21 @@ def test_map_spec_validation():
     assert hash(shuffled) == hash(MapSpec(((2, MapKind.T), (3, MapKind.X), (1, MapKind.T))))
 
 
+@pytest.mark.parametrize("q", [True, False, 1.5])
+def test_map_spec_rejects_qubit_indices_that_are_not_integers(q):
+    # A bool would be qubit 1 (or 0) and print as True:P; 1.5 would fail only
+    # inside the kernel's bit shift.
+    with pytest.raises(TypeError, match="qubit index must be an integer"):
+        MapSpec(((q, MapKind.P),))
+
+
+def test_map_spec_stores_numpy_integer_indices_as_int():
+    spec = MapSpec(((np.int64(2), MapKind.P), (1, MapKind.T)))
+    assert str(spec) == "1:T,2:P"
+    assert [type(q) for q, _ in spec.assignments] == [int, int]
+    assert spec == MapSpec(((2, MapKind.P), (1, MapKind.T)))
+
+
 # ---------------------------------------------------------------- partial application
 
 def test_apply_identity_is_noop():
