@@ -215,14 +215,10 @@ def load_operator(path) -> tuple[HermitianOperator, dict]:
     if not isinstance(meta, dict):
         raise CliError(f"{path}: meta must be an object")
     try:
-        # An inf entry meets inf - inf in the operator's check, which rejects
-        # it; numpy's warning about that would only repeat the error.
-        with np.errstate(invalid="ignore"):
-            # The complex view keeps each pair's exact bits, -0.0 included.
-            op = HermitianOperator(np.ascontiguousarray(arr).view(np.complex128)[..., 0], n)
+        # The complex view keeps each pair's exact bits, -0.0 included.
+        return HermitianOperator(np.ascontiguousarray(arr).view(np.complex128)[..., 0], n), meta
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return op, meta
 
 
 def _parse(text: str, kind, error: str):

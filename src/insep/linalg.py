@@ -28,6 +28,18 @@ TOL_PSD = 1e-9
 MAX_QUBITS = 12
 
 
+def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
+    """max|A - A^H| of each matrix A of an (..., d, d) array.
+
+    NaN or inf for a matrix with a NaN or infinite entry, so one pass checks
+    both finiteness and Hermiticity; numpy's warning of the inf - inf that
+    an infinite entry may meet is silenced, so the caller's ValueError is
+    what comes out under any warning filter.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
 class HermitianOperator:
     """A 2^n x 2^n complex Hermitian matrix tagged with its qubit count.
 
@@ -50,13 +62,7 @@ class HermitianOperator:
             raise ValueError(f"dimension {dim} is not 2^n for n >= 1 qubits")
         if n_qubits > MAX_QUBITS:
             raise ValueError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
-        # A NaN or infinite entry makes dev NaN or infinite, so this one pass
-        # also rejects non-finite matrices (dev > TOL_HERM is false for NaN).
-        # An inf entry may make numpy warn of inf - inf first. It is not
-        # silenced here: an np.errstate costs about 2 us per construction, a
-        # third of the whole check on an 8x8 matrix. cli.load_operator, where
-        # such matrices come in from files, silences it.
-        dev = float(np.max(np.abs(m - m.conj().T)))
+        dev = float(_hermitian_deviation(m))
         if not math.isfinite(dev):
             raise ValueError("matrix has NaN or infinite entries")
         if dev > TOL_HERM:
@@ -166,10 +172,9 @@ def _validate_density_stack(stack: np.ndarray) -> None:
     decides it by its eigensolve fallback or raises its own ValueError, so
     the first rejected matrix of the stack raises what it would raise alone.
     """
-    # NaN fails both comparisons, so a non-finite matrix is never settled.
-    dev = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     tr = stack.trace(axis1=-2, axis2=-1).real
-    settled = (dev <= TOL_HERM) & (np.abs(tr - 1.0) <= TOL_TRACE)
+    # NaN fails both comparisons, so a non-finite matrix is never settled.
+    settled = (_hermitian_deviation(stack) <= TOL_HERM) & (np.abs(tr - 1.0) <= TOL_TRACE)
     for matrix, ok in zip(stack, settled.tolist()):
         if not (ok and _psd_certified(matrix, TOL_PSD)):
             DensityOperator(matrix)

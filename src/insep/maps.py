@@ -77,6 +77,22 @@ def _require_operator(rho) -> None:
         raise TypeError(f"expected a HermitianOperator, got {type(rho).__name__}")
 
 
+def _require_kind(kind) -> None:
+    if not isinstance(kind, MapKind):
+        raise TypeError(f"expected MapKind, got {kind!r}")
+
+
+def _qubit_index(q) -> int:
+    """A qubit index as a Python int; TypeError for a bool or a non-integer."""
+    # A bool is an int to operator.index, so True would be qubit 1.
+    if isinstance(q, bool):
+        raise TypeError(f"qubit index must be an integer, got {q!r}")
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise TypeError(f"qubit index must be an integer, got {q!r}") from None
+
+
 def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
     """Population averaging: diagonal entries -> their mean, coherences kept.
 
@@ -105,19 +121,12 @@ class MapSpec:
         seen = set()
         assignments = []
         for q, kind in self.assignments:
-            # A bool is an int to operator.index, so True would be qubit 1.
-            if isinstance(q, bool):
-                raise TypeError(f"qubit index must be an integer, got {q!r}")
-            try:
-                q = operator.index(q)
-            except TypeError:
-                raise TypeError(f"qubit index must be an integer, got {q!r}") from None
+            q = _qubit_index(q)
             if q < 1:
                 raise ValueError(f"qubit index {q} must be >= 1")
             if q in seen:
                 raise ValueError(f"qubit {q} assigned more than once")
-            if not isinstance(kind, MapKind):
-                raise TypeError(f"expected MapKind, got {kind!r}")
+            _require_kind(kind)
             seen.add(q)
             assignments.append((q, kind))
         # The qubit is the only key: two MapKinds do not compare.
@@ -177,6 +186,7 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
     averages the two x = y partner elements (k-th bits 00 and 11) and keeps
     x != y elements; T, H, X, I act by their direct block rules.
 
+    k is an integer by MapSpec's rule, so a bool or a float is a TypeError.
     rho must be a HermitianOperator, already validated, and the output is
     wrapped without a second Hermiticity check. Write dev(A) = max|A - A^H|.
     T, X, H and I only move and negate entries, and they move each entry
@@ -188,6 +198,8 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
     """
     _require_operator(rho)
     n = rho.n_qubits
+    if type(k) is not int:
+        k = _qubit_index(k)
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
     # The T, X and I results may be views of rho's matrix; _derived copies
@@ -227,10 +239,16 @@ def apply_on_qubit_dense(rho: HermitianOperator, k: int, kind: MapKind) -> Hermi
     Expands rho over the four matrix units of qubit k using explicit
     bit-insertion isometries and reassembles the result from the map's images
     of those units. Much slower than apply_on_qubit; used for cross-checks.
+    Takes only a HermitianOperator, and its qubit index and kind by
+    MapSpec's rules.
     """
+    _require_operator(rho)
     n = rho.n_qubits
+    if type(k) is not int:
+        k = _qubit_index(k)
     if not 1 <= k <= n:
         raise ValueError(f"qubit index {k} out of range 1..{n}")
+    _require_kind(kind)
     return HermitianOperator(_dense_map_qubit(rho.matrix, n, k, kind), n)
 
 

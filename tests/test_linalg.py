@@ -41,14 +41,13 @@ def test_rejects_non_hermitian():
         HermitianOperator([[0, 1], [0, 0]])
 
 
-# numpy may warn of inf - inf before the ValueError; only the error counts.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# Warnings are errors here, so numpy's warning of inf - inf may not escape.
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
 def test_rejects_non_finite_entries(bad, where):
     m = np.eye(2, dtype=complex) / 2
     m[where] = bad
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
         HermitianOperator(m)
 
 
@@ -281,6 +280,9 @@ def _bad_density(kind, rng, d):
     m = planted_spectrum(rng, d, 0.01)
     if kind == "nan":
         m[3, 5] = np.nan
+    elif kind == "inf":
+        # On the diagonal an inf meets inf - inf in the Hermiticity check.
+        m[3, 3] = np.inf
     elif kind == "non-hermitian":
         m[0, 1] += 1e-6
     elif kind == "trace 0.9":
@@ -297,7 +299,7 @@ def _raised(validate, m):
 
 
 @pytest.mark.parametrize("position", [0, 2, 4])
-@pytest.mark.parametrize("kind", ["nan", "non-hermitian", "trace 0.9", "non-psd"])
+@pytest.mark.parametrize("kind", ["nan", "inf", "non-hermitian", "trace 0.9", "non-psd"])
 def test_stacked_validation_raises_what_density_operator_raises(kind, position):
     rng = np.random.default_rng(17)
     good = [planted_spectrum(rng, 8, 0.01) for _ in range(4)]

@@ -112,12 +112,26 @@ def test_map_spec_validation():
     assert hash(shuffled) == hash(MapSpec(((2, MapKind.T), (3, MapKind.X), (1, MapKind.T))))
 
 
-@pytest.mark.parametrize("q", [True, False, 1.5])
+NOT_INTEGERS = [True, False, 1.5]
+
+
+@pytest.mark.parametrize("q", NOT_INTEGERS)
 def test_map_spec_rejects_qubit_indices_that_are_not_integers(q):
     # A bool would be qubit 1 (or 0) and print as True:P; 1.5 would fail only
     # inside the kernel's bit shift.
     with pytest.raises(TypeError, match="qubit index must be an integer"):
         MapSpec(((q, MapKind.P),))
+
+
+@pytest.mark.parametrize("apply", [apply_on_qubit, apply_on_qubit_dense])
+@pytest.mark.parametrize("q", NOT_INTEGERS + [1.0])
+def test_single_qubit_maps_take_qubit_indices_by_map_spec_rule(apply, q):
+    rho = ghz(2)
+    with pytest.raises(TypeError, match=f"^qubit index must be an integer, got {q!r}$"):
+        apply(rho, q, MapKind.P)
+    assert np.array_equal(apply(rho, np.int64(2), MapKind.T).matrix, apply(rho, 2, MapKind.T).matrix)
+    with pytest.raises(ValueError, match=r"^qubit index 3 out of range 1\.\.2$"):
+        apply(rho, np.int64(3), MapKind.P)
 
 
 def test_map_spec_stores_numpy_integer_indices_as_int():
@@ -165,9 +179,21 @@ def test_maps_reject_an_unvalidated_matrix():
     with pytest.raises(TypeError, match="HermitianOperator"):
         apply_on_qubit(m, 1, MapKind.P)
     with pytest.raises(TypeError, match="HermitianOperator"):
+        apply_on_qubit_dense(m, 1, MapKind.P)
+    with pytest.raises(TypeError, match="HermitianOperator"):
         lambda_p(m)
     with pytest.raises(TypeError, match="HermitianOperator"):
         apply_product(m, MapSpec.single(1, MapKind.T))
+
+
+def test_map_spec_and_dense_route_take_only_a_map_kind():
+    # The dense route indexed its 2x2 table with the kind: KeyError for "P".
+    with pytest.raises(TypeError, match="^expected MapKind, got 'P'$"):
+        MapSpec(((1, "P"),))
+    with pytest.raises(TypeError, match="^expected MapKind, got 'P'$"):
+        apply_on_qubit_dense(ghz(2), 1, "P")
+    with pytest.raises(TypeError, match="^unknown map kind 'P'$"):
+        apply_on_qubit(ghz(2), 1, "P")
 
 
 def test_map_outputs_are_wrapped_without_a_hermiticity_pass(monkeypatch):
