@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .linalg import (
     _psd_certified,
     hamming,
 )
-from .maps import MapKind, MapSpec, apply_product
+from .maps import MapKind, MapSpec, _qubit_index, apply_product
 
 # Strict-inequality margin: elements within TOL_CRIT of a bound are treated
 # as not exceeding it, so the checks never over-claim.
@@ -210,22 +211,37 @@ def map_negativity_check(
     return DetectionReport(Verdict.INCONCLUSIVE, Criterion.MAP_NEGATIVITY, map_spec=spec)
 
 
+def _lemma2_values(m: np.ndarray, a, b) -> np.ndarray:
+    """s_aa + s_bb - 2|s_ab| of each matrix of m[..., d, d], at index arrays a and b."""
+    return (m[..., a, a] + m[..., b, b]).real - 2 * np.abs(m[..., a, b])
+
+
 def lemma2_witness_value(sigma: HermitianOperator, a: int, b: int) -> float:
     """Quadratic form <v|sigma|v> for |v> = |a> - (s_ab*/|s_ab|)|b>.
 
     Equals s_aa + s_bb - 2|s_ab|; when all diagonal entries are 1/2^n this is
-    2(1/2^n - |s_ab|), negative as soon as the element beats 1/2^n.
+    2(1/2^n - |s_ab|), negative as soon as the element beats 1/2^n. a and b
+    are integers by MapSpec's rule, so a bool or a float is a TypeError.
     """
+    a, b = _qubit_index(a, "basis index"), _qubit_index(b, "basis index")
     if a == b:
         raise ValueError("witness needs two distinct basis indices")
     m = sigma.matrix
     d = m.shape[0]
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) out of range for dimension {d}")
-    s_ab = m[a, b]
-    if s_ab == 0:
+    if m[a, b] == 0:
         raise ValueError(f"element ({a}, {b}) is zero; witness vector undefined")
-    return float((m[a, a] + m[b, b]).real - 2 * abs(s_ab))
+    return float(_lemma2_values(m, a, b))
+
+
+@cache
+def _lower_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(d, -1), read-only; building it costs more than the check."""
+    rows, cols = np.tril_indices(d, -1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def equal_argument_check(rho: HermitianOperator) -> bool:
@@ -235,7 +251,7 @@ def equal_argument_check(rho: HermitianOperator) -> bool:
     Phases are compared as angles between complex numbers, to within 1e-9
     rad, so the +-pi wraparound is handled.
     """
-    c = rho.matrix[np.tril_indices(rho.matrix.shape[0], -1)]
+    c = rho.matrix[_lower_triangle(rho.matrix.shape[0])]
     c = c[np.abs(c) > 1e-12]
     return c.size == 0 or not np.any(np.abs(np.angle(c * np.conj(c[0]))) > 1e-9)
 
@@ -245,8 +261,10 @@ def lemma1_bound_check(rho: HermitianOperator, a: int, b: int) -> bool:
 
     Requires an equal-argument input: each partial application then shrinks
     a bit-matched element by at most a factor of two and bit-mismatched
-    elements are untouched.
+    elements are untouched. a and b are integers by MapSpec's rule, so a
+    bool or a float is a TypeError.
     """
+    a, b = _qubit_index(a, "basis index"), _qubit_index(b, "basis index")
     if a == b:
         raise ValueError("bound is about off-diagonal elements; need a != b")
     if not equal_argument_check(rho):

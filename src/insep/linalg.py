@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +31,12 @@ def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
     """max|A - A^H| of each matrix A of an (..., d, d) array.
 
     NaN or inf for a matrix with a NaN or infinite entry, so one pass checks
-    both finiteness and Hermiticity; numpy's warning of the inf - inf that
-    an infinite entry may meet is silenced, so the caller's ValueError is
-    what comes out under any warning filter.
+    both finiteness and Hermiticity; inf also for a finite matrix whose
+    entries are so large that their difference overflows. numpy's warnings
+    of an inf - inf and of that overflow are silenced, so the caller's
+    ValueError is what comes out under any warning filter.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
@@ -63,9 +63,11 @@ class HermitianOperator:
         if n_qubits > MAX_QUBITS:
             raise ValueError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
         dev = float(_hermitian_deviation(m))
-        if not math.isfinite(dev):
-            raise ValueError("matrix has NaN or infinite entries")
-        if dev > TOL_HERM:
+        # NaN fails the comparison too. Only a failed matrix pays for the
+        # finiteness pass, as a finite deviation implies finite entries.
+        if not dev <= TOL_HERM:
+            if not np.isfinite(m).all():
+                raise ValueError("matrix has NaN or infinite entries")
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         m.setflags(write=False)
         self.matrix = m
@@ -101,6 +103,19 @@ class HermitianOperator:
         return f"{type(self).__name__}(n_qubits={self.n_qubits})"
 
 
+def _cholesky_bound_holds(r_norm2, diag_max, d: int, tol: float):
+    """The shifted-Cholesky certificate's error test, err <= tol/4.
+
+    err = gamma ||R||_F^2 + u (max|a_ii| + tol/2) for a factor R of a d x d
+    matrix A shifted by tol/2 (see _psd_certified). Takes ||R||_F^2 and
+    max|a_ii| as floats, or as arrays with one entry per matrix of a stack.
+    """
+    u = np.finfo(np.float64).eps / 2
+    k = 4 * (d + 1)
+    gamma = k * u / (1 - k * u)
+    return gamma * r_norm2 + u * (diag_max + tol / 2) <= tol / 4
+
+
 def _psd_certified(matrix: np.ndarray, tol: float) -> bool:
     """True only if a shifted Cholesky proves lambda_min(matrix) >= -3*tol/4.
 
@@ -111,12 +126,13 @@ def _psd_certified(matrix: np.ndarray, tol: float) -> bool:
     diagonal, so lambda_min(A) >= -tol/2 - err with
     err = gamma ||R||_F^2 + u (max|a_ii| + tol/2). gamma_{4(d+1)} is taken
     in place of gamma_{d+1} to cover complex arithmetic. The certificate is
-    given when err <= tol/4. ||R||_F^2 is about trace(A), which is at least
-    ||A||_2 for a matrix that factors, so the bound holds only where tol/4
-    exceeds eigh's own error, and eigh would also find lambda_min >= -tol.
-    A failed factorization, a failed bound, a NaN and a shift that is not
-    > 0 (tol = 0 among them) all return False: the caller then runs its
-    exact eigensolver path. False says nothing about the sign of lambda_min.
+    given when err <= tol/4 (_cholesky_bound_holds). ||R||_F^2 is about
+    trace(A), which is at least ||A||_2 for a matrix that factors, so the
+    bound holds only where tol/4 exceeds eigh's own error, and eigh would
+    also find lambda_min >= -tol. A failed factorization, a failed bound, a
+    NaN and a shift that is not > 0 (tol = 0 among them) all return False:
+    the caller then runs its exact eigensolver path. False says nothing
+    about the sign of lambda_min.
     """
     shift = tol / 2
     if not shift > 0:
@@ -128,12 +144,26 @@ def _psd_certified(matrix: np.ndarray, tol: float) -> bool:
         r = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
-    u = np.finfo(np.float64).eps / 2
-    k = 4 * (d + 1)
-    gamma = k * u / (1 - k * u)
     diag = float(np.abs(matrix.diagonal()).max())
-    err = gamma * float(np.vdot(r, r).real) + u * (diag + shift)
-    return err <= tol / 4
+    return bool(_cholesky_bound_holds(float(np.vdot(r, r).real), diag, d, tol))
+
+
+def _psd_certified_stack(stack: np.ndarray) -> np.ndarray:
+    """_psd_certified(matrix, TOL_PSD) of each matrix of an (m, d, d) stack.
+
+    One stacked factorization, and the same error bound per matrix. numpy
+    raises for the whole stack when one matrix does not factor; then each
+    matrix is certified alone, so the answers are _psd_certified's either way.
+    """
+    m, d = stack.shape[0], stack.shape[-1]
+    shifted = stack.copy()
+    shifted.reshape(m, d * d)[:, :: d + 1] += TOL_PSD / 2
+    try:
+        r = np.linalg.cholesky(shifted).reshape(m, d * d)
+    except np.linalg.LinAlgError:
+        return np.array([_psd_certified(matrix, TOL_PSD) for matrix in stack], dtype=bool)
+    diag = np.abs(stack.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+    return _cholesky_bound_holds(np.vecdot(r, r).real, diag, d, TOL_PSD)
 
 
 class DensityOperator(HermitianOperator):
@@ -165,19 +195,21 @@ class DensityOperator(HermitianOperator):
 def _validate_density_stack(stack: np.ndarray) -> None:
     """Check every matrix of an (m, 2^n, 2^n) stack by DensityOperator's rules.
 
-    Finiteness, Hermiticity within TOL_HERM and the trace within TOL_TRACE
-    are checked for the whole stack at once; the shifted-Cholesky
-    certificate runs per matrix, as a stacked one slows the single-matrix
-    call. A matrix these do not settle is handed to DensityOperator, which
-    decides it by its eigensolve fallback or raises its own ValueError, so
-    the first rejected matrix of the stack raises what it would raise alone.
+    Finiteness, Hermiticity within TOL_HERM, the trace within TOL_TRACE and
+    the shifted-Cholesky certificate are each decided for the whole stack at
+    once. DensityOperator keeps the single-matrix _psd_certified, as a
+    stack-shaped certificate about doubles the cost of one small matrix,
+    and it certifies every input it wraps. A matrix these do not settle is
+    handed to DensityOperator, in stack order, which decides it by its
+    eigensolve fallback or raises its own ValueError, so the first rejected
+    matrix of the stack raises what it would raise alone.
     """
     tr = stack.trace(axis1=-2, axis2=-1).real
     # NaN fails both comparisons, so a non-finite matrix is never settled.
     settled = (_hermitian_deviation(stack) <= TOL_HERM) & (np.abs(tr - 1.0) <= TOL_TRACE)
-    for matrix, ok in zip(stack, settled.tolist()):
-        if not (ok and _psd_certified(matrix, TOL_PSD)):
-            DensityOperator(matrix)
+    settled[settled] = _psd_certified_stack(stack[settled])
+    for matrix in stack[~settled]:
+        DensityOperator(matrix)
 
 
 @dataclass(frozen=True)

@@ -82,15 +82,19 @@ def _require_kind(kind) -> None:
         raise TypeError(f"expected MapKind, got {kind!r}")
 
 
-def _qubit_index(q) -> int:
-    """A qubit index as a Python int; TypeError for a bool or a non-integer."""
+def _qubit_index(q, what: str = "qubit index") -> int:
+    """An index as a Python int; TypeError for a bool or a non-integer.
+
+    Also the rule for the basis indices of insep.criteria's lemma checks,
+    which pass their own ``what`` for the message.
+    """
     # A bool is an int to operator.index, so True would be qubit 1.
     if isinstance(q, bool):
-        raise TypeError(f"qubit index must be an integer, got {q!r}")
+        raise TypeError(f"{what} must be an integer, got {q!r}")
     try:
         return operator.index(q)
     except TypeError:
-        raise TypeError(f"qubit index must be an integer, got {q!r}") from None
+        raise TypeError(f"{what} must be an integer, got {q!r}") from None
 
 
 def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
@@ -208,20 +212,37 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
 
 
 def _dense_map_qubit(ms: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:
-    """apply_on_qubit_dense's construction, broadcast over ms[..., d, d]."""
+    """apply_on_qubit_dense's construction, broadcast over ms[..., d, d].
+
+    The bit-insertion isometries V[x] are built here entry by entry, sharing
+    no index logic with _map_qubit. Side by side they form the permutation
+    U = [V[0] V[1]], so block (x, y) of U^T m U is V[x]^T m V[y], the
+    coefficient of qubit k's matrix unit |x><y|. The map's images of the
+    four units recombine those blocks, and U (recombined blocks) U^T is the
+    result. Each of the four products is one 2-D matmul over the whole stack.
+    """
     d = 1 << n
     dr = d // 2
     lo = 1 << (n - k)
-    # V[x] injects bit x at position k: V[x] |ac> = |a x c>.
-    V = [np.zeros((d, dr)) for _ in (0, 1)]
+    # Column x*dr + r of U is V[x]|r>, and V[x] |ac> = |a x c> injects bit x at position k.
+    u = np.zeros((d, d), dtype=np.complex128)
     for r in range(dr):
         a, c = divmod(r, lo)
         for x in (0, 1):
-            V[x][(a * 2 + x) * lo + c, r] = 1.0
-    out = np.zeros(ms.shape, dtype=np.complex128)
+            u[(a * 2 + x) * lo + c, x * dr + r] = 1.0
+    flat = ms.reshape(-1, d, d)
+    count = len(flat)
+
+    def right(s, v):  # s[i] @ v for every i
+        return (s.reshape(count * d, d) @ v).reshape(count, d, d)
+
+    def left(v, s):  # v @ s[i] = (s[i]^T v^T)^T for every i
+        return right(s.swapaxes(1, 2), v.T).swapaxes(1, 2)
+
+    blocks = left(u.T, right(flat, u)).reshape(count, 2, dr, 2, dr)
+    mapped = np.zeros_like(blocks)
     for x in (0, 1):
         for y in (0, 1):
-            block = V[x].T @ ms @ V[y]
             unit = np.zeros((2, 2), dtype=np.complex128)
             unit[x, y] = 1.0
             image = _ON_2X2[kind](unit)
@@ -229,8 +250,8 @@ def _dense_map_qubit(ms: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarra
                 for yy in (0, 1):
                     w = image[xx, yy]
                     if w != 0:
-                        out += w * (V[xx] @ block @ V[yy].T)
-    return out
+                        mapped[:, xx, :, yy, :] += w * blocks[:, x, :, y, :]
+    return right(left(u, mapped.reshape(count, d, d)), u.T).reshape(ms.shape)
 
 
 def apply_on_qubit_dense(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOperator:

@@ -25,12 +25,12 @@ import numpy as np
 from .criteria import (
     TOL_CRIT,
     Verdict,
+    _lemma2_values,
     _stack_best_margins,
     _violates,
     equal_argument_check,
     hamming_offdiagonal_check,
     lemma1_bound_check,
-    lemma2_witness_value,
     map_negativity_check,
 )
 from .linalg import (
@@ -285,34 +285,35 @@ def check_lemmas(h: Harness) -> None:
     idx = np.arange(d)
     hmat = np.bitwise_count(idx[:, None] ^ idx[None, :])
     off = idx[:, None] != idx[None, :]
-    bound_violations = 0
     spot_failures = 0
-    value_dev = 0.0
-    sign_mismatches = 0
+    kept = []
     for _ in range(500):
         rho = _nonneg_mixture(rng, n, terms=1 + int(rng.integers(4)))
         if not equal_argument_check(rho):  # lemma 1's precondition
             spot_failures += 1
             continue
-        mapped = apply_product(rho, MapSpec.all_qubits(n, MapKind.P))
-        lower = np.abs(rho.matrix) / 2.0 ** (n - hmat)
-        bad = off & (np.abs(mapped.matrix) < lower - TOL_CRIT)
-        bound_violations += int(bad.sum())
-        # spot-check the function-level route on the largest off-diagonal element
-        masked = np.where(off, np.abs(rho.matrix), -np.inf)
-        a, b = map(int, np.argwhere(masked == masked.max())[0])
-        if not lemma1_bound_check(rho, a, b):
+        kept.append(rho)
+    # The states that meet the precondition are mapped and compared as one
+    # stack; the function-level lemma1_bound_check is spot-checked on each
+    # state's largest off-diagonal element.
+    stack = np.array([rho.matrix for rho in kept]).reshape(-1, d, d)  # (0, d, d) if none is kept
+    mapped = stack
+    for q in range(1, n + 1):
+        mapped = _map_qubit(mapped, n, q, MapKind.P)
+    lower = np.abs(stack) / 2.0 ** (n - hmat)
+    bound_violations = int(np.count_nonzero(off & (np.abs(mapped) < lower - TOL_CRIT)))
+    largest = np.where(off, np.abs(stack), -np.inf).reshape(len(stack), d * d).argmax(axis=1)
+    for rho, k in zip(kept, largest.tolist()):
+        if not lemma1_bound_check(rho, *divmod(k, d)):
             spot_failures += 1
-        s = mapped.matrix
-        for a in range(d):
-            for b in range(d):
-                if a == b or abs(s[a, b]) == 0:
-                    continue
-                value = lemma2_witness_value(mapped, a, b)
-                closed = 2 * (0.5**n - abs(s[a, b]))
-                value_dev = max(value_dev, abs(value - closed))
-                if (value < 0) != (abs(s[a, b]) > 0.5**n):
-                    sign_mismatches += 1
+    # lemma2_witness_value's formula at every off-diagonal pair with s_ab != 0.
+    a, b = np.nonzero(off)
+    s_ab = np.abs(mapped[:, a, b])
+    nonzero = s_ab != 0
+    value = _lemma2_values(mapped, a, b)[nonzero]
+    closed = 2 * (0.5**n - s_ab[nonzero])
+    value_dev = float(np.abs(value - closed).max(initial=0.0))
+    sign_mismatches = int(np.count_nonzero((value < 0) != (s_ab[nonzero] > 0.5**n)))
     h.equals("lemma-1 bound violations over 500 equal-argument states (n=3)", bound_violations, 0)
     h.equals("lemma-1 spot checks failed", spot_failures, 0)
     h.close_to("lemma-2 witness vs 2(1/2^n - |s_ab|), max deviation", value_dev, 0.0, 1e-12)

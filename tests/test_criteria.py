@@ -398,6 +398,17 @@ def test_lemma2_rejects_bad_indices():
         lemma2_witness_value(sigma, 0, 7)
 
 
+@pytest.mark.parametrize("check", [lemma1_bound_check, lemma2_witness_value])
+@pytest.mark.parametrize("index", [True, False, 1.5, 7.0])
+def test_lemma_checks_take_basis_indices_by_map_spec_rule(check, index):
+    # True was read as a boolean mask, 7.0 failed inside numpy's indexing.
+    rho = horodecki_b(0.3)
+    for a, b in ((index, 0), (0, index)):
+        with pytest.raises(TypeError, match=f"^basis index must be an integer, got {index!r}$"):
+            check(rho, a, b)
+    assert check(rho, np.int64(7), np.int64(4)) == check(rho, 7, 4)
+
+
 def test_lemma2_agreement_with_min_eigenvalue():
     rng = mixture_rng(33)
     for _ in range(100):

@@ -14,8 +14,9 @@ from insep import (
     min_eigenvalue,
     tensor,
 )
+from insep import linalg
 from insep.criteria import Verdict, map_negativity_check
-from insep.linalg import _psd_certified, _validate_density_stack
+from insep.linalg import _psd_certified, _psd_certified_stack, _validate_density_stack
 from insep.maps import MapKind, MapSpec, apply_product
 from insep.states import product_state
 
@@ -49,6 +50,15 @@ def test_rejects_non_finite_entries(bad, where):
     m[where] = bad
     with pytest.raises(ValueError, match="^matrix has NaN or infinite entries$"):
         HermitianOperator(m)
+
+
+# Each entry is finite, but A - A^H overflows to inf at (0, 1).
+OVERFLOWING = [[0.5, 1e308], [-1e308, 0.5]]
+
+
+def test_finite_matrix_whose_deviation_overflows_is_not_hermitian():
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(max deviation inf\)$"):
+        HermitianOperator(OVERFLOWING)
 
 
 def test_rejects_non_square_and_bad_dimension():
@@ -309,6 +319,11 @@ def test_stacked_validation_raises_what_density_operator_raises(kind, position):
     _validate_density_stack(np.stack(good))
 
 
+def test_stacked_validation_of_an_overflowing_deviation():
+    stack = np.array([np.eye(2) / 2, OVERFLOWING], dtype=complex)
+    assert _raised(_validate_density_stack, stack) == "matrix is not Hermitian (max deviation inf)"
+
+
 def test_stacked_validation_raises_for_the_first_bad_matrix():
     rng = np.random.default_rng(18)
     first, second = _bad_density("trace 0.9", rng, 4), _bad_density("non-psd", rng, 4)
@@ -330,6 +345,42 @@ def test_stacked_validation_decides_the_psd_boundary_as_density_operator(d):
             assert _raised(_validate_density_stack, stack) == str(exc)
         else:
             _validate_density_stack(stack)
+
+
+def test_stacked_certificate_is_the_single_certificate_per_matrix(monkeypatch):
+    # Every matrix factors, so one stacked factorization decides them all;
+    # scaled by 1e5 a matrix still factors but fails the error bound.
+    rng = np.random.default_rng(19)
+    stack = np.stack([planted_spectrum(rng, 16, low) * scale for low in (0.0, TOL_PSD, 0.01) for scale in (1, 1e4, 1e5)])
+    expected = [_psd_certified(m, TOL_PSD) for m in stack]
+    assert True in expected and False in expected
+    single = []
+    monkeypatch.setattr(linalg, "_psd_certified", lambda m, tol: single.append(m))
+    assert _psd_certified_stack(stack).tolist() == expected
+    assert single == []
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_stacked_validation_hands_only_an_uncertified_matrix_to_density_operator(monkeypatch, position):
+    # lambda_min = -0.9 TOL_PSD: the shifted factorization fails, so the
+    # stacked one raises, yet the eigensolve accepts the matrix.
+    rng = np.random.default_rng(20 + position)
+    good = [planted_spectrum(rng, 8, 0.01) for _ in range(6)]
+    low = planted_spectrum(rng, 8, -0.9 * TOL_PSD)
+    stack = np.stack(good[:position] + [low] + good[position:])
+    assert not _psd_certified(low, TOL_PSD)
+    assert _psd_certified_stack(stack).tolist() == [_psd_certified(m, TOL_PSD) for m in stack]
+    handed = []
+    density = linalg.DensityOperator
+
+    def recording(matrix):
+        handed.append(matrix)
+        return density(matrix)
+
+    monkeypatch.setattr(linalg, "DensityOperator", recording)
+    _validate_density_stack(stack)
+    assert len(handed) == 1
+    assert np.array_equal(handed[0], low)
 
 
 # ---------------------------------------------------------------- hamming

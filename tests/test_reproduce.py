@@ -1,8 +1,8 @@
 """The stacked bulk checks of insep.reproduce against their per-matrix loops.
 
 Each reference below is the per-matrix loop the check ran before it mapped
-stacks, built on the public apply_product, apply_on_qubit and
-apply_on_qubit_dense. A check's rows report only extremes and zero counts,
+stacks, built on the public apply_product, apply_on_qubit,
+apply_on_qubit_dense and lemma2_witness_value. A check's rows report only extremes and zero counts,
 which a lost or extra state seldom moves, so both sides also count every
 matrix that reaches the map kernels and the eigensolver, by content: equal
 rows and equal counts pin the RNG order and the batch boundaries. Batch
@@ -17,10 +17,24 @@ import numpy as np
 import pytest
 
 from insep import linalg, maps, reproduce, states
-from insep.criteria import Verdict, hamming_offdiagonal_check, lz_antidiagonal_check
+from insep.criteria import (
+    TOL_CRIT,
+    Verdict,
+    equal_argument_check,
+    hamming_offdiagonal_check,
+    lemma1_bound_check,
+    lemma2_witness_value,
+    lz_antidiagonal_check,
+)
 from insep.linalg import HermitianOperator, min_eigenvalue
-from insep.maps import MapKind, apply_on_qubit, apply_on_qubit_dense, apply_product
-from insep.reproduce import Harness, _random_density, _random_hermitian_trace_one, _soundness_specs
+from insep.maps import MapKind, MapSpec, apply_on_qubit, apply_on_qubit_dense, apply_product
+from insep.reproduce import (
+    Harness,
+    _nonneg_mixture,
+    _random_density,
+    _random_hermitian_trace_one,
+    _soundness_specs,
+)
 from insep.states import mixture_rng, random_multiseparable
 
 
@@ -74,6 +88,47 @@ def per_matrix_elementwise_vs_dense(h):
         h.close_to(f"element-wise vs dense map application, n={n}, max deviation", dev, 0.0, 1e-12)
 
 
+def per_matrix_lemmas(h):
+    rng = mixture_rng(99)
+    n = 3
+    d = 1 << n
+    idx = np.arange(d)
+    hmat = np.bitwise_count(idx[:, None] ^ idx[None, :])
+    off = idx[:, None] != idx[None, :]
+    bound_violations = 0
+    spot_failures = 0
+    value_dev = 0.0
+    sign_mismatches = 0
+    for _ in range(500):
+        rho = _nonneg_mixture(rng, n, terms=1 + int(rng.integers(4)))
+        if not equal_argument_check(rho):  # lemma 1's precondition
+            spot_failures += 1
+            continue
+        mapped = apply_product(rho, MapSpec.all_qubits(n, MapKind.P))
+        lower = np.abs(rho.matrix) / 2.0 ** (n - hmat)
+        bad = off & (np.abs(mapped.matrix) < lower - TOL_CRIT)
+        bound_violations += int(bad.sum())
+        # spot-check the function-level route on the largest off-diagonal element
+        masked = np.where(off, np.abs(rho.matrix), -np.inf)
+        a, b = map(int, np.argwhere(masked == masked.max())[0])
+        if not lemma1_bound_check(rho, a, b):
+            spot_failures += 1
+        s = mapped.matrix
+        for a in range(d):
+            for b in range(d):
+                if a == b or abs(s[a, b]) == 0:
+                    continue
+                value = lemma2_witness_value(mapped, a, b)
+                closed = 2 * (0.5**n - abs(s[a, b]))
+                value_dev = max(value_dev, abs(value - closed))
+                if (value < 0) != (abs(s[a, b]) > 0.5**n):
+                    sign_mismatches += 1
+    h.equals("lemma-1 bound violations over 500 equal-argument states (n=3)", bound_violations, 0)
+    h.equals("lemma-1 spot checks failed", spot_failures, 0)
+    h.close_to("lemma-2 witness vs 2(1/2^n - |s_ab|), max deviation", value_dev, 0.0, 1e-12)
+    h.equals("lemma-2 sign vs element-exceeds-bound mismatches", sign_mismatches, 0)
+
+
 PAIRS = [
     (reproduce.check_soundness, per_matrix_soundness),
     (reproduce.check_decomposition, per_matrix_decomposition),
@@ -117,6 +172,16 @@ def test_batched_check_equals_the_per_matrix_loop(monkeypatch, per_matrix_runs, 
     expected_rows, expected_seen = per_matrix_runs[batched]
     assert rows == expected_rows
     assert seen == expected_seen
+
+
+def test_stacked_lemma_suite_equals_the_per_matrix_loop():
+    # Both sides map each kept state twice, once in the suite and once in
+    # lemma1_bound_check's spot check, so the kernel counts match too.
+    rows, seen = recorded_run(reproduce.check_lemmas)
+    expected_rows, expected_seen = recorded_run(per_matrix_lemmas)
+    assert rows == expected_rows
+    assert seen == expected_seen
+    assert sum(seen.values()) > 0
 
 
 def test_each_closed_form_state_is_built_once(monkeypatch):
