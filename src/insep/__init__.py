@@ -45,7 +45,6 @@ from .maps import (
 from .states import (
     Bell,
     bell_ket,
-    bell_state,
     ghz,
     horodecki_b,
     isotropic,
@@ -79,7 +78,6 @@ __all__ = [
     "apply_on_qubit_dense",
     "apply_product",
     "bell_ket",
-    "bell_state",
     "bloch_from_density",
     "density_from_bloch",
     "equal_argument_check",

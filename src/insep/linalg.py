@@ -103,67 +103,45 @@ class HermitianOperator:
         return f"{type(self).__name__}(n_qubits={self.n_qubits})"
 
 
-def _cholesky_bound_holds(r_norm2, diag_max, d: int, tol: float):
-    """The shifted-Cholesky certificate's error test, err <= tol/4.
+def _psd_certified(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """True only if a shifted Cholesky proves lambda_min >= -3*tol/4.
 
-    err = gamma ||R||_F^2 + u (max|a_ii| + tol/2) for a factor R of a d x d
-    matrix A shifted by tol/2 (see _psd_certified). Takes ||R||_F^2 and
-    max|a_ii| as floats, or as arrays with one entry per matrix of a stack.
+    Takes one (d, d) matrix or an (..., d, d) stack and returns one numpy
+    bool per matrix (a 0-d bool for a single matrix). Factors A + (tol/2) I,
+    reading the lower triangle as eigh and eigvalsh do. A computed factor R
+    satisfies R*R = A + (tol/2) I + E with |E| <= gamma |R*||R| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), plus
+    the rounding of the shifted diagonal, so lambda_min(A) >= -tol/2 - err
+    with err = gamma ||R||_F^2 + u (max|a_ii| + tol/2). gamma_{4(d+1)} is
+    taken in place of gamma_{d+1} to cover complex arithmetic. The
+    certificate is given when err <= tol/4. ||R||_F^2 is about trace(A),
+    which is at least ||A||_2 for a matrix that factors, so the bound holds
+    only where tol/4 exceeds eigh's own error, and eigh would also find
+    lambda_min >= -tol. A failed factorization, a failed bound, a NaN and a
+    shift that is not > 0 (tol = 0 among them) all give False: the caller
+    then runs its exact eigensolver path. False says nothing about the sign
+    of lambda_min.
     """
-    u = np.finfo(np.float64).eps / 2
-    k = 4 * (d + 1)
-    gamma = k * u / (1 - k * u)
-    return gamma * r_norm2 + u * (diag_max + tol / 2) <= tol / 4
-
-
-def _psd_certified(matrix: np.ndarray, tol: float) -> bool:
-    """True only if a shifted Cholesky proves lambda_min(matrix) >= -3*tol/4.
-
-    Factors A + (tol/2) I, reading the lower triangle as eigh and eigvalsh
-    do. A computed factor R satisfies R*R = A + (tol/2) I + E with
-    |E| <= gamma |R*||R| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Thm 10.3), plus the rounding of the shifted
-    diagonal, so lambda_min(A) >= -tol/2 - err with
-    err = gamma ||R||_F^2 + u (max|a_ii| + tol/2). gamma_{4(d+1)} is taken
-    in place of gamma_{d+1} to cover complex arithmetic. The certificate is
-    given when err <= tol/4 (_cholesky_bound_holds). ||R||_F^2 is about
-    trace(A), which is at least ||A||_2 for a matrix that factors, so the
-    bound holds only where tol/4 exceeds eigh's own error, and eigh would
-    also find lambda_min >= -tol. A failed factorization, a failed bound, a
-    NaN and a shift that is not > 0 (tol = 0 among them) all return False:
-    the caller then runs its exact eigensolver path. False says nothing
-    about the sign of lambda_min.
-    """
+    batch, d = matrix.shape[:-2], matrix.shape[-1]
     shift = tol / 2
     if not shift > 0:
-        return False
-    d = matrix.shape[0]
+        return np.zeros(batch, dtype=bool)
     shifted = matrix.copy()
-    shifted.flat[:: d + 1] += shift
+    shifted.reshape(*batch, d * d)[..., :: d + 1] += shift
     try:
         r = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return False
-    diag = float(np.abs(matrix.diagonal()).max())
-    return bool(_cholesky_bound_holds(float(np.vdot(r, r).real), diag, d, tol))
-
-
-def _psd_certified_stack(stack: np.ndarray) -> np.ndarray:
-    """_psd_certified(matrix, TOL_PSD) of each matrix of an (m, d, d) stack.
-
-    One stacked factorization, and the same error bound per matrix. numpy
-    raises for the whole stack when one matrix does not factor; then each
-    matrix is certified alone, so the answers are _psd_certified's either way.
-    """
-    m, d = stack.shape[0], stack.shape[-1]
-    shifted = stack.copy()
-    shifted.reshape(m, d * d)[:, :: d + 1] += TOL_PSD / 2
-    try:
-        r = np.linalg.cholesky(shifted).reshape(m, d * d)
-    except np.linalg.LinAlgError:
-        return np.array([_psd_certified(matrix, TOL_PSD) for matrix in stack], dtype=bool)
-    diag = np.abs(stack.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
-    return _cholesky_bound_holds(np.vecdot(r, r).real, diag, d, TOL_PSD)
+        # numpy raises for the whole stack when one matrix does not factor.
+        if not batch:
+            return np.False_
+        flat = [_psd_certified(m, tol) for m in matrix.reshape(-1, d, d)]
+        return np.array(flat, dtype=bool).reshape(batch)
+    r = r.reshape(*batch, d * d)
+    diag = np.abs(matrix.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
+    u = 2.0**-53  # float64's unit roundoff
+    k = 4 * (d + 1)
+    gamma = k * u / (1 - k * u)
+    return gamma * np.vecdot(r, r).real + u * (diag + shift) <= tol / 4
 
 
 class DensityOperator(HermitianOperator):
@@ -197,17 +175,15 @@ def _validate_density_stack(stack: np.ndarray) -> None:
 
     Finiteness, Hermiticity within TOL_HERM, the trace within TOL_TRACE and
     the shifted-Cholesky certificate are each decided for the whole stack at
-    once. DensityOperator keeps the single-matrix _psd_certified, as a
-    stack-shaped certificate about doubles the cost of one small matrix,
-    and it certifies every input it wraps. A matrix these do not settle is
-    handed to DensityOperator, in stack order, which decides it by its
-    eigensolve fallback or raises its own ValueError, so the first rejected
-    matrix of the stack raises what it would raise alone.
+    once. A matrix these do not settle is handed to DensityOperator, in stack
+    order, which decides it by its eigensolve fallback or raises its own
+    ValueError, so the first rejected matrix of the stack raises what it
+    would raise alone.
     """
     tr = stack.trace(axis1=-2, axis2=-1).real
     # NaN fails both comparisons, so a non-finite matrix is never settled.
     settled = (_hermitian_deviation(stack) <= TOL_HERM) & (np.abs(tr - 1.0) <= TOL_TRACE)
-    settled[settled] = _psd_certified_stack(stack[settled])
+    settled[settled] = _psd_certified(stack[settled], TOL_PSD)
     for matrix in stack[~settled]:
         DensityOperator(matrix)
 

@@ -97,6 +97,17 @@ def _qubit_index(q, what: str = "qubit index") -> int:
         raise TypeError(f"{what} must be an integer, got {q!r}") from None
 
 
+def _operator_and_qubit(rho, k) -> tuple[int, int]:
+    """(n, k) for a single-qubit map on qubit k of a validated n-qubit rho."""
+    _require_operator(rho)
+    n = rho.n_qubits
+    if type(k) is not int:
+        k = _qubit_index(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"qubit index {k} out of range 1..{n}")
+    return n, k
+
+
 def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
     """Population averaging: diagonal entries -> their mean, coherences kept.
 
@@ -200,12 +211,7 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
     with u = 2^-53 (one rounding per averaged entry). An input within
     TOL_HERM therefore gives an output within TOL_HERM + 2u max|rho|.
     """
-    _require_operator(rho)
-    n = rho.n_qubits
-    if type(k) is not int:
-        k = _qubit_index(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
+    n, k = _operator_and_qubit(rho, k)
     # The T, X and I results may be views of rho's matrix; _derived copies
     # those, and keeps a fresh kernel output as it is.
     return HermitianOperator._derived(_map_qubit(rho.matrix, n, k, kind), n, rho.matrix)
@@ -263,12 +269,7 @@ def apply_on_qubit_dense(rho: HermitianOperator, k: int, kind: MapKind) -> Hermi
     Takes only a HermitianOperator, and its qubit index and kind by
     MapSpec's rules.
     """
-    _require_operator(rho)
-    n = rho.n_qubits
-    if type(k) is not int:
-        k = _qubit_index(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
+    n, k = _operator_and_qubit(rho, k)
     _require_kind(kind)
     return HermitianOperator(_dense_map_qubit(rho.matrix, n, k, kind), n)
 

@@ -36,9 +36,9 @@ from .criteria import (
 from .linalg import (
     TOL_PSD,
     HermitianOperator,
+    _bloch_matrix,
     _validate_density_stack,
     bloch_from_density,
-    density_from_bloch,
     min_eigenvalue,
 )
 from .maps import (
@@ -325,7 +325,7 @@ def check_bloch_projection(h: Harness) -> None:
     dev = 0.0
     for _ in range(1000):
         x, y, z = random_bloch(rng)
-        image = bloch_from_density(lambda_p(density_from_bloch((x, y, z))))
+        image = bloch_from_density(lambda_p(HermitianOperator(_bloch_matrix((x, y, z)), 1)))
         dev = max(dev, abs(image.x - x), abs(image.y - y), abs(image.z))
     h.close_to("Bloch projection (x,y,z) -> (x,y,0), max deviation", dev, 0.0, 1e-12)
 

@@ -33,11 +33,6 @@ def bell_ket(bell: Bell) -> np.ndarray:
     return v / np.sqrt(2)
 
 
-def bell_state(bell: Bell) -> DensityOperator:
-    v = bell_ket(bell)
-    return DensityOperator(np.outer(v, v.conj()), 2)
-
-
 def horodecki_b(b: float) -> DensityOperator:
     """The three-qubit b-family: PSD, trace one, and PPT on qubit 1 for 0 < b < 1.
 

@@ -26,7 +26,6 @@ from insep.reproduce import _soundness_specs
 from insep.states import (
     Bell,
     _multiseparable_stack,
-    bell_state,
     ghz,
     horodecki_b,
     isotropic,
@@ -293,6 +292,16 @@ def test_map_negativity_interval_is_narrower_for_p_than_t():
     report = map_negativity_check(rho, MapSpec.single(2, MapKind.T))
     assert report.verdict is Verdict.INSEPARABLE
     assert report.witness.min_eigenvalue == pytest.approx((1.5 - 2) / 10, abs=1e-12)
+
+
+@pytest.mark.parametrize("b, lam", [(0.1, -0.23967), (0.5, -0.035875), (0.9, -0.0035634)])
+def test_b_family_is_ppt_on_qubit_1_and_npt_on_qubits_2_and_3(b, lam):
+    rho = horodecki_b(b)
+    assert map_negativity_check(rho, MapSpec.single(1, MapKind.T)).verdict is Verdict.INCONCLUSIVE
+    for k in (2, 3):
+        report = map_negativity_check(rho, MapSpec.single(k, MapKind.T))
+        assert report.verdict is Verdict.INSEPARABLE
+        assert report.witness.min_eigenvalue == pytest.approx(lam, rel=1e-4)
 
 
 def test_map_negativity_misses_weakly_entangled_pure_state():
@@ -591,6 +600,6 @@ def test_stacked_margins_agree_with_the_per_matrix_checks():
 def test_criteria_inconclusive_on_bell_mixture_without_corner():
     # equal mixture of two Bell projectors has no off-diagonal excess and
     # stays positive under the full-P map
-    rho = DensityOperator((bell_state(Bell.PHI_PLUS).matrix + bell_state(Bell.PHI_MINUS).matrix) / 2)
+    rho = DensityOperator((isotropic(0.0, Bell.PHI_PLUS).matrix + isotropic(0.0, Bell.PHI_MINUS).matrix) / 2)
     assert hamming_offdiagonal_check(rho).verdict is Verdict.INCONCLUSIVE
     assert map_negativity_check(rho, MapSpec.all_qubits(2, MapKind.P)).verdict is Verdict.INCONCLUSIVE

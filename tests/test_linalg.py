@@ -16,7 +16,7 @@ from insep import (
 )
 from insep import linalg
 from insep.criteria import Verdict, map_negativity_check
-from insep.linalg import _psd_certified, _psd_certified_stack, _validate_density_stack
+from insep.linalg import _psd_certified, _validate_density_stack
 from insep.maps import MapKind, MapSpec, apply_product
 from insep.states import product_state
 
@@ -354,10 +354,35 @@ def test_stacked_certificate_is_the_single_certificate_per_matrix(monkeypatch):
     stack = np.stack([planted_spectrum(rng, 16, low) * scale for low in (0.0, TOL_PSD, 0.01) for scale in (1, 1e4, 1e5)])
     expected = [_psd_certified(m, TOL_PSD) for m in stack]
     assert True in expected and False in expected
-    single = []
-    monkeypatch.setattr(linalg, "_psd_certified", lambda m, tol: single.append(m))
-    assert _psd_certified_stack(stack).tolist() == expected
-    assert single == []
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    assert _psd_certified(stack, TOL_PSD).tolist() == expected
+    assert calls == [stack.shape]
+
+
+@pytest.mark.parametrize("tol", [TOL_PSD, 1e-6, 1e-3])
+def test_stacked_certificate_at_any_tol(tol):
+    # The certificate's floor is -3*tol/4 and map_negativity_check's cut is
+    # -tol; a matrix below -tol/2 does not factor, so the stack falls back
+    # to one certificate per matrix.
+    rng = np.random.default_rng(21)
+    lows = (0.01, 0.0, -0.25 * tol, -0.7 * tol, -0.75 * tol, -0.8 * tol, -tol, -1.1 * tol)
+    stack = np.stack([planted_spectrum(rng, 16, low) for low in lows])
+    expected = [_psd_certified(m, tol) for m in stack]
+    assert expected == [True, True, True, False, False, False, False, False]
+    assert _psd_certified(stack, tol).tolist() == expected
+    assert _psd_certified(stack.reshape(2, 4, 16, 16), tol).tolist() == [expected[:4], expected[4:]]
+
+
+def test_certificate_of_an_empty_stack():
+    for tol in (TOL_PSD, 0.0):
+        assert _psd_certified(np.zeros((0, 4, 4), dtype=complex), tol).shape == (0,)
 
 
 @pytest.mark.parametrize("position", [0, 3, 6])
@@ -369,7 +394,7 @@ def test_stacked_validation_hands_only_an_uncertified_matrix_to_density_operator
     low = planted_spectrum(rng, 8, -0.9 * TOL_PSD)
     stack = np.stack(good[:position] + [low] + good[position:])
     assert not _psd_certified(low, TOL_PSD)
-    assert _psd_certified_stack(stack).tolist() == [_psd_certified(m, TOL_PSD) for m in stack]
+    assert _psd_certified(stack, TOL_PSD).tolist() == [_psd_certified(m, TOL_PSD) for m in stack]
     handed = []
     density = linalg.DensityOperator
 

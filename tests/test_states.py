@@ -23,7 +23,6 @@ from insep.states import (
     _bloch_points,
     _multiseparable_stack,
     bell_ket,
-    bell_state,
     ghz,
     horodecki_b,
     isotropic,
@@ -79,7 +78,7 @@ def test_horodecki_b_positive_under_first_qubit_transpose(b):
 
 def test_isotropic_at_zero_is_bell_projector():
     for bell in Bell:
-        assert np.allclose(isotropic(0.0, bell).matrix, bell_state(bell).matrix)
+        assert np.allclose(isotropic(0.0, bell).matrix, np.outer(bell_ket(bell), bell_ket(bell).conj()))
 
 
 @pytest.mark.parametrize("bell", list(Bell))
@@ -119,7 +118,7 @@ def test_pure_superposition_structure():
     assert rho.matrix[0, 0].real == pytest.approx(p, abs=1e-15)
     assert rho.matrix[3, 3].real == pytest.approx(1 - p, abs=1e-15)
     assert rho.matrix[0, 3].real == pytest.approx(math.sqrt(p * (1 - p)), abs=1e-15)
-    assert np.allclose(pure_superposition(0.5).matrix, bell_state(Bell.PHI_PLUS).matrix)
+    assert np.allclose(pure_superposition(0.5).matrix, isotropic(0.0, Bell.PHI_PLUS).matrix)
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(ValueError):
             pure_superposition(bad)
@@ -134,7 +133,7 @@ def test_pure_superposition_partial_p_minimum():
 # ---------------------------------------------------------------- ghz
 
 def test_ghz_matches_bell_at_two_qubits():
-    assert np.allclose(ghz(2).matrix, bell_state(Bell.PHI_PLUS).matrix)
+    assert np.allclose(ghz(2).matrix, isotropic(0.0, Bell.PHI_PLUS).matrix)
 
 
 def test_ghz_corner_and_detection():
