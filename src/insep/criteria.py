@@ -21,9 +21,10 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     _psd_certified,
+    _qubit_index,
     hamming,
 )
-from .maps import MapKind, MapSpec, _qubit_index, apply_product
+from .maps import MapKind, MapSpec, apply_product
 
 # Strict-inequality margin: elements within TOL_CRIT of a bound are treated
 # as not exceeding it, so the checks never over-claim.

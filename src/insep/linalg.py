@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,22 @@ TOL_PSD = 1e-9
 # Dense 2^n x 2^n storage; 12 qubits (4096^2 complex doubles) is the
 # practical desk-scale limit.
 MAX_QUBITS = 12
+
+
+def _qubit_index(q, what: str = "qubit index") -> int:
+    """An index or a count as a Python int; TypeError for a bool or a non-integer.
+
+    The package's one integer rule: the qubit indices of insep.maps, the
+    basis indices of insep.criteria's lemma checks and HermitianOperator's
+    qubit count, each of which passes its own ``what`` for the message.
+    """
+    # A bool is an int to operator.index, so True would be qubit 1.
+    if isinstance(q, bool):
+        raise TypeError(f"{what} must be an integer, got {q!r}")
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {q!r}") from None
 
 
 def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
@@ -58,6 +75,8 @@ class HermitianOperator:
         dim = m.shape[0]
         if n_qubits is None:
             n_qubits = dim.bit_length() - 1
+        elif type(n_qubits) is not int:
+            n_qubits = _qubit_index(n_qubits, "n_qubits")
         if n_qubits < 1 or dim != 1 << n_qubits:
             raise ValueError(f"dimension {dim} is not 2^n for n >= 1 qubits")
         if n_qubits > MAX_QUBITS:

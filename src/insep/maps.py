@@ -19,13 +19,12 @@ intermediates.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import HermitianOperator
+from .linalg import HermitianOperator, _qubit_index
 
 
 class MapKind(Enum):
@@ -80,21 +79,6 @@ def _require_operator(rho) -> None:
 def _require_kind(kind) -> None:
     if not isinstance(kind, MapKind):
         raise TypeError(f"expected MapKind, got {kind!r}")
-
-
-def _qubit_index(q, what: str = "qubit index") -> int:
-    """An index as a Python int; TypeError for a bool or a non-integer.
-
-    Also the rule for the basis indices of insep.criteria's lemma checks,
-    which pass their own ``what`` for the message.
-    """
-    # A bool is an int to operator.index, so True would be qubit 1.
-    if isinstance(q, bool):
-        raise TypeError(f"{what} must be an integer, got {q!r}")
-    try:
-        return operator.index(q)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {q!r}") from None
 
 
 def _operator_and_qubit(rho, k) -> tuple[int, int]:
@@ -220,44 +204,28 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
 def _dense_map_qubit(ms: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:
     """apply_on_qubit_dense's construction, broadcast over ms[..., d, d].
 
-    The bit-insertion isometries V[x] are built here entry by entry, sharing
+    The bit-insertion isometries V[x] are built here as one index, sharing
     no index logic with _map_qubit. Side by side they form the permutation
-    U = [V[0] V[1]], so block (x, y) of U^T m U is V[x]^T m V[y], the
-    coefficient of qubit k's matrix unit |x><y|. The map's images of the
-    four units recombine those blocks, and U (recombined blocks) U^T is the
-    result. Each of the four products is one 2-D matmul over the whole stack.
+    U = [V[0] V[1]], whose column j is the basis vector |perm[j]>, so block
+    (x, y) of U^T m U = m[perm][:, perm] is V[x]^T m V[y], the coefficient
+    of qubit k's matrix unit |x><y|. One contraction with the map's images
+    of the four units recombines those blocks, and reading the result
+    through perm's inverse forms U (recombined blocks) U^T.
     """
-    d = 1 << n
-    dr = d // 2
+    dr = 1 << (n - 1)
     lo = 1 << (n - k)
-    # Column x*dr + r of U is V[x]|r>, and V[x] |ac> = |a x c> injects bit x at position k.
-    u = np.zeros((d, d), dtype=np.complex128)
-    for r in range(dr):
-        a, c = divmod(r, lo)
-        for x in (0, 1):
-            u[(a * 2 + x) * lo + c, x * dr + r] = 1.0
-    flat = ms.reshape(-1, d, d)
-    count = len(flat)
-
-    def right(s, v):  # s[i] @ v for every i
-        return (s.reshape(count * d, d) @ v).reshape(count, d, d)
-
-    def left(v, s):  # v @ s[i] = (s[i]^T v^T)^T for every i
-        return right(s.swapaxes(1, 2), v.T).swapaxes(1, 2)
-
-    blocks = left(u.T, right(flat, u)).reshape(count, 2, dr, 2, dr)
-    mapped = np.zeros_like(blocks)
-    for x in (0, 1):
-        for y in (0, 1):
-            unit = np.zeros((2, 2), dtype=np.complex128)
-            unit[x, y] = 1.0
-            image = _ON_2X2[kind](unit)
-            for xx in (0, 1):
-                for yy in (0, 1):
-                    w = image[xx, yy]
-                    if w != 0:
-                        mapped[:, xx, :, yy, :] += w * blocks[:, x, :, y, :]
-    return right(left(u, mapped.reshape(count, d, d)), u.T).reshape(ms.shape)
+    # Entry x*dr + r of perm is V[x]|r>, and V[x] |ac> = |a x c> injects bit x at position k.
+    a, c = np.divmod(np.arange(dr), lo)
+    perm = ((a * 2 + np.arange(2)[:, None]) * lo + c).ravel()
+    blocks = ms[..., perm[:, None], perm].reshape(*ms.shape[:-2], 2, dr, 2, dr)
+    # images[x, y] is the map's image of the unit |x><y|.
+    units = np.eye(4, dtype=np.complex128).reshape(4, 2, 2)
+    images = np.array([_ON_2X2[kind](unit) for unit in units]).reshape(2, 2, 2, 2)
+    mapped = np.einsum("xyab,...xiyj->...aibj", images, blocks).reshape(ms.shape)
+    # A gather through the inverse, not a scatter through perm: numpy's
+    # scatter into the last two axes took five times as long.
+    inv = np.argsort(perm)
+    return mapped[..., inv[:, None], inv]
 
 
 def apply_on_qubit_dense(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOperator:
@@ -283,6 +251,8 @@ def apply_product(rho: HermitianOperator, spec: MapSpec) -> HermitianOperator:
     input's Hermiticity deviation.
     """
     _require_operator(rho)
+    if not isinstance(spec, MapSpec):
+        raise TypeError(f"expected a MapSpec, got {type(spec).__name__}")
     spec.validate_for(rho.n_qubits)
     out = rho
     for q, kind in spec.assignments:

@@ -117,15 +117,11 @@ def _random_density(rng, n) -> np.ndarray:
 def _nonneg_mixture(rng, n, terms) -> HermitianOperator:
     # Mixture of entrywise-nonnegative projectors: an equal-argument state
     # (every nonzero off-diagonal element has argument 0).
-    d = 1 << n
-    acc = np.zeros((d, d))
     w = rng.uniform(0, 1, terms)
     w /= w.sum()
-    for t in range(terms):
-        v = rng.uniform(0, 1, d)
-        v /= np.linalg.norm(v)
-        acc += w[t] * np.outer(v, v)
-    return HermitianOperator(acc, n)
+    v = rng.uniform(0, 1, (terms, 1 << n))
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    return HermitianOperator((w[:, None, None] * (v[:, :, None] * v[:, None, :])).sum(axis=0), n)
 
 
 def _spectrum_gap(op: HermitianOperator, closed_form) -> float:
@@ -282,9 +278,6 @@ def check_lemmas(h: Harness) -> None:
     rng = mixture_rng(99)
     n = 3
     d = 1 << n
-    idx = np.arange(d)
-    hmat = np.bitwise_count(idx[:, None] ^ idx[None, :])
-    off = idx[:, None] != idx[None, :]
     spot_failures = 0
     kept = []
     for _ in range(500):
@@ -300,15 +293,15 @@ def check_lemmas(h: Harness) -> None:
     mapped = stack
     for q in range(1, n + 1):
         mapped = _map_qubit(mapped, n, q, MapKind.P)
-    lower = np.abs(stack) / 2.0 ** (n - hmat)
-    bound_violations = int(np.count_nonzero(off & (np.abs(mapped) < lower - TOL_CRIT)))
-    largest = np.where(off, np.abs(stack), -np.inf).reshape(len(stack), d * d).argmax(axis=1)
-    for rho, k in zip(kept, largest.tolist()):
-        if not lemma1_bound_check(rho, *divmod(k, d)):
+    # Every off-diagonal pair (a, b), in row-major order.
+    a, b = np.nonzero(~np.eye(d, dtype=bool))
+    c_ab = np.abs(stack[:, a, b])
+    s_ab = np.abs(mapped[:, a, b])
+    bound_violations = int(np.count_nonzero(s_ab < c_ab / 2.0 ** (n - np.bitwise_count(a ^ b)) - TOL_CRIT))
+    for rho, k in zip(kept, c_ab.argmax(axis=1).tolist()):
+        if not lemma1_bound_check(rho, a[k], b[k]):
             spot_failures += 1
     # lemma2_witness_value's formula at every off-diagonal pair with s_ab != 0.
-    a, b = np.nonzero(off)
-    s_ab = np.abs(mapped[:, a, b])
     nonzero = s_ab != 0
     value = _lemma2_values(mapped, a, b)[nonzero]
     closed = 2 * (0.5**n - s_ab[nonzero])

@@ -112,8 +112,14 @@ def product_state(blochs) -> DensityOperator:
 
 
 def mixture_rng(seed: int) -> np.random.Generator:
-    """The package's reproducible generator: Philox (counter-based), raw key."""
-    if not 0 <= seed < 2**128:
+    """The package's reproducible generator: Philox (counter-based), raw key.
+
+    A numpy integer seed gives the stream of the equal Python int; a bool or
+    a non-integer is refused, as is a seed out of range.
+    """
+    if type(seed) is not int and isinstance(seed, np.integer):
+        seed = int(seed)
+    if type(seed) is not int or not 0 <= seed < 2**128:
         raise ValueError(f"seed must be an integer in 0..2**128 - 1, got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 

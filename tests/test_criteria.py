@@ -418,6 +418,17 @@ def test_lemma_checks_take_basis_indices_by_map_spec_rule(check, index):
     assert check(rho, np.int64(7), np.int64(4)) == check(rho, 7, 4)
 
 
+@pytest.mark.parametrize("spec", ["1:P", "all:P", None, ((1, MapKind.P),)])
+def test_a_spec_that_is_not_a_map_spec_is_a_type_error(spec):
+    # A str raised AttributeError: 'str' object has no attribute 'validate_for'.
+    rho = ghz(2)
+    message = f"^expected a MapSpec, got {type(spec).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        apply_product(rho, spec)
+    with pytest.raises(TypeError, match=message):
+        map_negativity_check(rho, spec)
+
+
 def test_lemma2_agreement_with_min_eigenvalue():
     rng = mixture_rng(33)
     for _ in range(100):

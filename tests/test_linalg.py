@@ -70,6 +70,25 @@ def test_rejects_non_square_and_bad_dimension():
         HermitianOperator(np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("count", [True, False, 1.0, "1"])
+def test_qubit_count_takes_the_package_integer_rule(count):
+    # True was stored as the count, and the file it saved held
+    # "n_qubits": True, which no JSON reader accepts.
+    with pytest.raises(TypeError, match=f"^n_qubits must be an integer, got {count!r}$"):
+        HermitianOperator(np.eye(2) / 2, count)
+    with pytest.raises(TypeError, match="^n_qubits must be an integer"):
+        DensityOperator(np.eye(2) / 2, count)
+
+
+def test_numpy_qubit_count_is_stored_as_an_int(tmp_path):
+    from insep.cli import load_operator, save_operator
+
+    op = HermitianOperator(np.eye(4) / 4, np.int64(2))
+    assert type(op.n_qubits) is int and op.n_qubits == 2
+    save_operator(tmp_path / "op.json", op)
+    assert load_operator(tmp_path / "op.json")[0].n_qubits == 2
+
+
 def test_matrix_is_read_only():
     op = HermitianOperator(np.eye(2) / 2)
     with pytest.raises(ValueError):

@@ -303,3 +303,18 @@ def test_mixture_rng_rejects_out_of_range_seeds(seed):
 @pytest.mark.parametrize("seed", [0, 2**128 - 1])
 def test_mixture_rng_accepts_both_ends_of_the_seed_range(seed):
     assert 0 <= mixture_rng(seed).uniform() < 1
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, 2.0**127, np.float64(1), "1"])
+def test_mixture_rng_refuses_a_bool_or_non_integer_seed(seed):
+    # These were truncated: 1.5, True and 1.0 all gave seed 1's stream.
+    with pytest.raises(ValueError, match=r"^seed must be an integer in 0\.\.2\*\*128 - 1, got "):
+        mixture_rng(seed)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        random_multiseparable(2, 1, seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int8(7)])
+def test_numpy_integer_seed_gives_the_python_int_stream(seed):
+    assert mixture_rng(seed).uniform(size=4).tobytes() == mixture_rng(7).uniform(size=4).tobytes()
+    assert random_multiseparable(2, 2, seed).matrix.tobytes() == random_multiseparable(2, 2, 7).matrix.tobytes()
