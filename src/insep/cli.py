@@ -13,9 +13,11 @@ Operator files are JSON::
 
 ``entries`` is row-major with one ``[re, im]`` pair per element. Numbers are
 rendered with Python ``repr`` (shortest round-trip decimal, at most 17
-significant digits), which makes save -> load -> save byte-identical. A file
-in exactly this layout is read with its entries parsed as one flat list: with
-their number bytes deleted the entries must be the rows the writer's template
+significant digits), which makes save -> load -> save byte-identical. Files
+are written and read as streams, a row or a block of whole rows at a time, so
+neither direction holds the whole text. A file in exactly this layout has its
+rows parsed as flat lists, in blocks of at most _BLOCK_NUMBERS numbers: with
+their number bytes deleted the rows must be the ones the writer's template
 gives, with no [re, im] slot empty. Any other JSON file is read as nested
 lists, to the same values and errors.
 
@@ -67,31 +69,33 @@ def _pairs_template(count: int) -> str:
 
 
 # The written layout ends with the entries, one row a line; the reader
-# matches these same strings.
+# matches these same strings. Each row but the last ends with _ROW_SEP, the
+# last with _LAST_SEP, and _TAIL closes the entries and the file.
 _ENTRIES_MARK = '"entries": [\n'
 _ROW_SEP = ",\n"
-_ENTRIES_END = "\n]\n}\n"
+_LAST_SEP = "\n"
+_TAIL = "]\n}\n"
+
+
+def _written_pieces(op: HermitianOperator, meta: dict | None):
+    """The written text in pieces: the head, then each row and its separator."""
+    meta_json = json.dumps(meta or {}, sort_keys=True, separators=(",", ":"))
+    yield "{\n" f'"n_qubits": {op.n_qubits},\n' f'"meta": {meta_json},\n' + _ENTRIES_MARK
+    row_template = _pairs_template(op.dim)
+    for i, row in enumerate(op.matrix.view(np.float64), 1):
+        yield row_template % tuple(row.tolist())
+        yield _ROW_SEP if i < op.dim else _LAST_SEP
+    yield _TAIL
 
 
 def serialize_operator(op: HermitianOperator, meta: dict | None = None) -> str:
-    meta_json = json.dumps(meta or {}, sort_keys=True, separators=(",", ":"))
-    row_template = _pairs_template(op.dim)
-    # One join over head, rows and separators: joining the rows first and
-    # then adding head and tail would copy the whole text once more.
-    parts = [
-        "{\n"
-        f'"n_qubits": {op.n_qubits},\n'
-        f'"meta": {meta_json},\n' + _ENTRIES_MARK
-    ]
-    for row in op.matrix.view(np.float64):
-        parts.append(row_template % tuple(row.tolist()))
-        parts.append(_ROW_SEP)
-    parts[-1] = _ENTRIES_END
-    return "".join(parts)
+    return "".join(_written_pieces(op, meta))
 
 
 def save_operator(path, op: HermitianOperator, meta: dict | None = None) -> None:
-    Path(path).write_text(serialize_operator(op, meta))
+    # Written row by row: the whole text is never held.
+    with Path(path).open("w") as f:
+        f.writelines(_written_pieces(op, meta))
 
 
 def _numbers_only(x) -> bool:
@@ -102,9 +106,48 @@ def _numbers_only(x) -> bool:
 
 
 # Bytes that can make up a JSON number, and a translate table that turns
-# the entries into one flat list: brackets and newlines made spaces.
+# a block of rows into one flat list: brackets and newlines made spaces.
 _NUMBER_BYTES = b"0123456789.eE+-"
 _FLAT = bytes(ord(" ") if c in b"[]\n" else c for c in range(256))
+# The written layout's rows are read in blocks of whole rows holding at most
+# this many numbers (at least one row), so memory follows the matrix, not the text.
+_BLOCK_NUMBERS = 1 << 16
+
+
+def _read_rows(f, d: int):
+    """The (d, 2d) float entries of the rows that follow the entries mark, or None.
+
+    Each block of k rows must be k lines that, with their number bytes
+    deleted, are the rows the writer's template gives, each followed by its
+    separator; it must start with "[" and end with exactly that separator,
+    and no pair slot may be empty. So the block's one flat parse, which must
+    give 2*d*k numbers, finds a single number in each slot: a number past a
+    bracket, which the flat list cannot see, fails one of the checks.
+    """
+    frame = _pairs_template(d).replace("%r", "").encode()
+    row_sep, last_sep = _ROW_SEP.encode(), _LAST_SEP.encode()
+    step = max(1, _BLOCK_NUMBERS // (2 * d))
+    out = np.empty((d, 2 * d))
+    for i in range(0, d, step):
+        k = min(step, d - i)
+        sep = row_sep if i + k < d else last_sep
+        block = bytearray().join([f.readline() for _ in range(k)])
+        if block.translate(None, _NUMBER_BYTES) != row_sep.join([frame] * k) + sep:
+            return None
+        # rfind scans these bytes 1.3 to 2.5 times as fast as `in` (CPython 3.10-3.13).
+        if block[:1] != b"[" or not block.endswith(sep) or block.rfind(b"[,") >= 0 or block.rfind(b",]") >= 0:
+            return None
+        block = block.translate(_FLAT)
+        # "[" + the rows' numbers + "]", the separator's bytes made spaces.
+        block[0], block[-len(sep)] = ord("["), ord("]")
+        try:
+            values = np.array(json.loads(block))
+        except ValueError:
+            return None
+        if values.dtype.kind not in "iuf" or values.shape != (2 * d * k,):
+            return None
+        out[i : i + k] = values.reshape(k, 2 * d)
+    return out
 
 
 def _read_written_layout(path):
@@ -112,57 +155,46 @@ def _read_written_layout(path):
 
     Returns None for a file in any other layout, or whose head or numbers do
     not parse; _read_json_operator then reads it and gives every error. The
-    head is decoded as Path.read_text decodes (a BOM or a bad byte fails its
-    parse), and json's own scanner parses every number, so a file read here
-    gives the values the nested reader would. The entries are parsed as one
-    flat JSON list, not as d*d pair lists, after the raw bytes are released.
+    file is read as a stream: the head is the lines up to the first that is
+    the entries mark, decoded as Path.read_text decodes (a BOM or a bad byte
+    fails its parse); then come the rows, in blocks (_read_rows), and the
+    exact tail. json's own scanner parses every number, so a file read here
+    gives the values the nested reader would. Neither the whole text nor a
+    list of all its numbers is ever held.
     """
-    mark, end = _ENTRIES_MARK.encode(), _ENTRIES_END.encode()
+    mark = _ENTRIES_MARK.encode()
     try:
-        raw = Path(path).read_bytes()
+        # A buffer of many rows: readline makes several reads for a row longer
+        # than the buffer. Reading the rows of a random n = 9 file took 10.5 ms
+        # with the default 8 KiB buffer and 3.0 ms with this one (2-core Xeon VM).
+        with open(path, "rb", buffering=1 << 18) as f:
+            head = []
+            for line in f:
+                if line == mark:
+                    break
+                head.append(line)
+            else:
+                return None
+            try:
+                text = io.TextIOWrapper(io.BytesIO(b"".join(head)), encoding=io.text_encoding(None)).read()
+                # The closing brace ends the top-level value, so data is a dict
+                # and these entries are its last key, which json keeps over any
+                # earlier one.
+                data = json.loads(text + '"entries": []}')
+            except (ValueError, RecursionError):
+                return None
+            del head, text
+            n = data.get("n_qubits")
+            if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+                return None
+            d = 1 << n
+            arr = _read_rows(f, d)
+            tail = _TAIL.encode()
+            if arr is None or f.read(len(tail) + 1) != tail:
+                return None
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    cut = raw.rfind(mark)
-    start = cut + len(mark)
-    if cut < 0 or not raw.endswith(end, start):
-        return None
-    try:
-        head = io.TextIOWrapper(io.BytesIO(raw[:cut]), encoding=io.text_encoding(None)).read()
-        # The closing brace ends the top-level value, so data is a dict and
-        # these entries are its last key, which json keeps over any earlier one.
-        data = json.loads(head + '"entries": []}')
-    except (ValueError, RecursionError):
-        return None
-    n = data.get("n_qubits")
-    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
-        return None
-    d = 1 << n
-    # "\n" + entries + "\n", then "[" + flat entries + "]".
-    flat = bytearray(memoryview(raw)[start - 1 : len(raw) - len(end) + 1])
-    del raw
-    # Without its numbers the text must be the written rows, and no pair slot
-    # may be empty, so the flat parse's one number between two commas sits in
-    # its slot, not past a bracket, which the flat list cannot see. rfind
-    # scans these bytes 1.3 to 2.5 times as fast as `in` (CPython 3.10-3.13).
-    frame = _pairs_template(d).replace("%r", "").encode()
-    if flat.translate(None, _NUMBER_BYTES) != b"\n%s\n" % _ROW_SEP.encode().join([frame] * d):
-        return None
-    if flat.rfind(b"[,") >= 0 or flat.rfind(b",]") >= 0:
-        return None
-    flat = flat.translate(_FLAT)
-    flat[0], flat[-1] = ord("["), ord("]")
-    text = flat.decode("ascii")
-    del flat
-    try:
-        values = json.loads(text)
-    except ValueError:
-        return None
-    del text
-    arr = np.array(values)
-    del values
-    if arr.dtype.kind not in "iuf":
-        return None
-    return n, arr.astype(float, copy=False).reshape(d, d, 2), data
+    return n, arr.reshape(d, d, 2), data
 
 
 def _read_json_operator(path):
@@ -321,7 +353,7 @@ def _cmd_gen(args) -> int:
     if args.out:
         save_operator(args.out, op, meta)
     else:
-        sys.stdout.write(serialize_operator(op, meta))
+        sys.stdout.writelines(_written_pieces(op, meta))
     return 0
 
 

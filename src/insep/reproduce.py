@@ -324,6 +324,9 @@ def check_bloch_projection(h: Harness) -> None:
 
 
 def run_all(perturb: float = 0.0) -> list[CheckRow]:
+    # A NaN or infinite offset would fail rows by arithmetic, not by comparison.
+    if not math.isfinite(perturb):
+        raise ValueError(f"perturb must be finite, got {perturb!r}")
     h = Harness(perturb=perturb)
     check_b_family_threshold(h)
     check_ppt_control(h)

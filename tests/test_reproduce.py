@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from insep import linalg, maps, reproduce, states
+from insep import cli, linalg, maps, reproduce, states
 from insep.criteria import (
     TOL_CRIT,
     Verdict,
@@ -233,3 +233,16 @@ def test_soundness_builds_validates_and_scans_stacks(monkeypatch):
     reproduce.check_soundness(h)
     assert calls == {"validated": 3000}
     assert all(r.passed for r in h.rows)
+
+
+@pytest.mark.parametrize("perturb", [math.nan, math.inf, -math.inf])
+def test_run_all_rejects_a_non_finite_perturb(perturb):
+    with pytest.raises(ValueError, match=f"^perturb must be finite, got {perturb!r}$"):
+        reproduce.run_all(perturb=perturb)
+
+
+@pytest.mark.parametrize("text, shown", [("nan", "nan"), ("inf", "inf"), ("1e999", "inf"), ("-inf", "-inf")])
+def test_reproduce_exits_2_on_a_non_finite_perturb(capsys, text, shown):
+    # Exit 1 would say that some check failed; no check runs at all.
+    assert cli.main(["reproduce", f"--perturb={text}"]) == 2
+    assert capsys.readouterr() == ("", f"error: perturb must be finite, got {shown}\n")
