@@ -26,6 +26,21 @@ from .linalg import (
 )
 from .maps import MapKind, MapSpec, apply_product
 
+__all__ = [
+    "TOL_CRIT",
+    "Criterion",
+    "DetectionReport",
+    "EigenvalueWitness",
+    "OffDiagonalWitness",
+    "Verdict",
+    "equal_argument_check",
+    "hamming_offdiagonal_check",
+    "lemma1_bound_check",
+    "lemma2_witness_value",
+    "lz_antidiagonal_check",
+    "map_negativity_check",
+]
+
 # Strict-inequality margin: elements within TOL_CRIT of a bound are treated
 # as not exceeding it, so the checks never over-claim.
 TOL_CRIT = 1e-9
@@ -197,10 +212,13 @@ def map_negativity_check(
     after partial application rules out a product decomposition. tol must be
     finite and at least TOL_PSD: a smaller one would take eigensolver
     rounding on a product state, or an eigenvalue a DensityOperator accepts,
-    for a witness. A shifted-Cholesky certificate of lambda_min >= -3*tol/4
-    decides inconclusive without an eigensolve; otherwise the full
-    eigensystem decides, and supplies the witness.
+    for a witness. A bool tol is a TypeError, as True would run at tol 1.
+    A shifted-Cholesky certificate of lambda_min >= -3*tol/4 decides
+    inconclusive without an eigensolve; otherwise the full eigensystem
+    decides, and supplies the witness.
     """
+    if isinstance(tol, (bool, np.bool_)):
+        raise TypeError(f"tolerance must be a number, got {tol!r}")
     if not (tol >= TOL_PSD and math.isfinite(tol)):
         raise ValueError(f"tolerance must be finite and >= {TOL_PSD!r}, got {tol!r}")
     sigma = apply_product(rho, spec)
@@ -215,6 +233,15 @@ def map_negativity_check(
 def _lemma2_values(m: np.ndarray, a, b) -> np.ndarray:
     """s_aa + s_bb - 2|s_ab| of each matrix of m[..., d, d], at index arrays a and b."""
     return (m[..., a, a] + m[..., b, b]).real - 2 * np.abs(m[..., a, b])
+
+
+def _lemma1_holds(c_abs, s_abs, n: int, h):
+    """Lemma 1's bound s_abs >= c_abs / 2^(n - h) within TOL_CRIT, element-wise.
+
+    c_abs and s_abs are |c_ab| before and after the all-qubit P map, h the
+    Hamming distance h(a, b). A NaN fails the comparison, so it never passes.
+    """
+    return s_abs >= c_abs / 2.0 ** (n - h) - TOL_CRIT
 
 
 def lemma2_witness_value(sigma: HermitianOperator, a: int, b: int) -> float:
@@ -273,5 +300,4 @@ def lemma1_bound_check(rho: HermitianOperator, a: int, b: int) -> bool:
     n = rho.n_qubits
     h = hamming(a, b, n)
     mapped = apply_product(rho, MapSpec.all_qubits(n, MapKind.P))
-    lower = abs(rho.matrix[a, b]) / 2 ** (n - h)
-    return abs(mapped.matrix[a, b]) >= lower - TOL_CRIT
+    return bool(_lemma1_holds(abs(rho.matrix[a, b]), abs(mapped.matrix[a, b]), n, h))

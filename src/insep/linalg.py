@@ -17,6 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "MAX_QUBITS",
+    "TOL_HERM",
+    "TOL_PSD",
+    "TOL_TRACE",
+    "BlochVector",
+    "DensityOperator",
+    "HermitianOperator",
+    "bloch_from_density",
+    "density_from_bloch",
+    "hamming",
+    "min_eigenvalue",
+    "tensor",
+]
+
 # All quantities handled here are O(1), which leaves several digits of
 # double-precision headroom under these tolerances.
 TOL_HERM = 1e-12
@@ -32,8 +47,9 @@ def _qubit_index(q, what: str = "qubit index") -> int:
     """An index or a count as a Python int; TypeError for a bool or a non-integer.
 
     The package's one integer rule: the qubit indices of insep.maps, the
-    basis indices of insep.criteria's lemma checks and HermitianOperator's
-    qubit count, each of which passes its own ``what`` for the message.
+    basis indices of hamming and of insep.criteria's lemma checks, and the
+    qubit counts of HermitianOperator, hamming and MapSpec.all_qubits, each
+    of which passes its own ``what`` for the message.
     """
     # A bool is an int to operator.index, so True would be qubit 1.
     if isinstance(q, bool):
@@ -235,7 +251,12 @@ def min_eigenvalue(op: HermitianOperator) -> float:
 
 
 def hamming(a: int, b: int, n: int) -> int:
-    """Number of differing bits between the n-bit expansions of a and b."""
+    """Number of differing bits between the n-bit expansions of a and b.
+
+    a, b and n are integers by the package's rule, so a bool is a TypeError.
+    """
+    a, b = _qubit_index(a, "basis index"), _qubit_index(b, "basis index")
+    n = _qubit_index(n, "n_qubits")
     top = 1 << n
     if not 0 <= a < top:
         raise ValueError(f"index {a} out of range for {n} qubits")
@@ -256,17 +277,23 @@ def bloch_from_density(sigma: HermitianOperator) -> BlochVector:
     )
 
 
-def _bloch_matrix(v) -> np.ndarray:
-    """The 2x2 array I/2 + x X + y Y + z Z at Bloch point v, radius checked.
+def _bloch_matrix(x, y, z) -> np.ndarray:
+    """I/2 + x X + y Y + z Z, unchecked: the caller vouches for the radius.
 
-    The radius check r^2 <= 1/4 + TOL_PSD bounds the smaller eigenvalue
-    1/2 - r below by -TOL_PSD, so the array is PSD within TOL_PSD with trace
-    one, without an eigensolve.
+    Scalar coordinates give one 2x2 array; coordinate arrays of one shape S
+    give an S + (2, 2) stack. Within the radius-1/2 ball (BlochVector's
+    check, r^2 <= 1/4 + TOL_PSD) the smaller eigenvalue 1/2 - r is at least
+    -TOL_PSD, so each array is PSD within TOL_PSD with trace one, without an
+    eigensolve.
     """
-    x, y, z = BlochVector(*v)
-    return np.array([[0.5 + z, x - 1j * y], [x + 1j * y, 0.5 - z]])
+    m = np.empty((*np.shape(x), 2, 2), dtype=np.complex128)
+    m[..., 0, 0] = 0.5 + z
+    m[..., 0, 1] = x - 1j * y
+    m[..., 1, 0] = x + 1j * y
+    m[..., 1, 1] = 0.5 - z
+    return m
 
 
 def density_from_bloch(v) -> DensityOperator:
     """Single-qubit density operator at Bloch point v = (x, y, z)."""
-    return DensityOperator(_bloch_matrix(v), 1)
+    return DensityOperator(_bloch_matrix(*BlochVector(*v)), 1)

@@ -26,6 +26,15 @@ import numpy as np
 
 from .linalg import HermitianOperator, _qubit_index
 
+__all__ = [
+    "MapKind",
+    "MapSpec",
+    "apply_on_qubit",
+    "apply_on_qubit_dense",
+    "apply_product",
+    "lambda_p",
+]
+
 
 class MapKind(Enum):
     P = "P"
@@ -137,7 +146,8 @@ class MapSpec:
 
     @classmethod
     def all_qubits(cls, n: int, kind: MapKind) -> MapSpec:
-        return cls(tuple((q, kind) for q in range(1, n + 1)))
+        # n is a count by the package's integer rule: True is not 1 qubit.
+        return cls(tuple((q, kind) for q in range(1, _qubit_index(n, "n_qubits") + 1)))
 
     def validate_for(self, n: int) -> None:
         for q, _ in self.assignments:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import (
-    TOL_CRIT,
     Verdict,
+    _lemma1_holds,
     _lemma2_values,
     _stack_best_margins,
     _violates,
@@ -297,7 +297,7 @@ def check_lemmas(h: Harness) -> None:
     a, b = np.nonzero(~np.eye(d, dtype=bool))
     c_ab = np.abs(stack[:, a, b])
     s_ab = np.abs(mapped[:, a, b])
-    bound_violations = int(np.count_nonzero(s_ab < c_ab / 2.0 ** (n - np.bitwise_count(a ^ b)) - TOL_CRIT))
+    bound_violations = int(np.count_nonzero(~_lemma1_holds(c_ab, s_ab, n, np.bitwise_count(a ^ b))))
     for rho, k in zip(kept, c_ab.argmax(axis=1).tolist()):
         if not lemma1_bound_check(rho, a[k], b[k]):
             spot_failures += 1
@@ -318,7 +318,7 @@ def check_bloch_projection(h: Harness) -> None:
     dev = 0.0
     for _ in range(1000):
         x, y, z = random_bloch(rng)
-        image = bloch_from_density(lambda_p(HermitianOperator(_bloch_matrix((x, y, z)), 1)))
+        image = bloch_from_density(lambda_p(HermitianOperator(_bloch_matrix(x, y, z), 1)))
         dev = max(dev, abs(image.x - x), abs(image.y - y), abs(image.z))
     h.close_to("Bloch projection (x,y,z) -> (x,y,0), max deviation", dev, 0.0, 1e-12)
 

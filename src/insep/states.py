@@ -7,7 +7,20 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, DensityOperator, _bloch_matrix
+from .linalg import MAX_QUBITS, BlochVector, DensityOperator, _bloch_matrix
+
+__all__ = [
+    "Bell",
+    "bell_ket",
+    "ghz",
+    "horodecki_b",
+    "isotropic",
+    "mixture_rng",
+    "product_state",
+    "pure_superposition",
+    "random_bloch",
+    "random_multiseparable",
+]
 
 
 class Bell(Enum):
@@ -102,7 +115,7 @@ def _kron_chain(factors) -> np.ndarray:
 
 def product_state(blochs) -> DensityOperator:
     """Tensor product of single-qubit states given by their Bloch vectors, qubit 1 leftmost."""
-    factors = [_bloch_matrix(v) for v in blochs]
+    factors = [_bloch_matrix(*BlochVector(*v)) for v in blochs]
     if not factors:
         raise ValueError("need at least one Bloch vector")
     if len(factors) > MAX_QUBITS:
@@ -169,16 +182,10 @@ def _multiseparable_stack(n: int, terms: int, seeds) -> np.ndarray:
         w = rng.uniform(0, 1, terms)
         weights[:, j] = w / w.sum()
         xyz[j] = _bloch_points(rng, terms * n)
-    # Axes (term, qubit, seed): factors[t] is term t's chain of (count, 2, 2) factors.
-    xyz = xyz.reshape(count, terms, n, 3).transpose(1, 2, 0, 3)
-    x, y, z = xyz[..., 0], xyz[..., 1], xyz[..., 2]
-    # _bloch_matrix's entries, for every factor at once; the accepted points
-    # lie in the ball, so no factor needs its radius check.
-    factors = np.empty((terms, n, count, 2, 2), dtype=np.complex128)
-    factors[..., 0, 0] = 0.5 + z
-    factors[..., 0, 1] = x - 1j * y
-    factors[..., 1, 0] = x + 1j * y
-    factors[..., 1, 1] = 0.5 - z
+    # Axes (coordinate, term, qubit, seed): factors[t] is term t's chain of
+    # (count, 2, 2) factors. The accepted points lie in the ball, so no
+    # factor needs its radius check.
+    factors = _bloch_matrix(*xyz.reshape(count, terms, n, 3).transpose(3, 1, 2, 0))
     d = 1 << n
     acc = np.zeros((count, d, d), dtype=np.complex128)
     # One term at a time keeps memory at O(count d^2) rather than O(terms count d^2).

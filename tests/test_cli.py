@@ -204,7 +204,26 @@ def test_gen_names_come_from_the_family_table_and_enums(capsys):
     assert str(exc.value) == "unknown map kind 'Q'; choose from " + ", ".join(k.value for k in MapKind)
 
 
-def test_load_rejects_malformed_files(tmp_path):
+def test_load_rejects_malformed_files(tmp_path, capsys):
+    # Each file is refused by load_operator and by main with its exact line.
+    written = serialize_operator(DensityOperator(np.eye(2) / 2)).replace('"meta": {},', '"meta": 3,')
+    entries = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    cases = [
+        ("array.json", "[]", "expected a JSON object at top level"),
+        # The written layout, read by the flat reader.
+        ("flat-meta.json", written, "meta must be an object"),
+        # One line, read by the nested reader.
+        ("nested-meta.json", json.dumps({"n_qubits": 1, "meta": [], "entries": entries}), "meta must be an object"),
+    ]
+    for name, text, error in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert (cli._read_written_layout(path) is not None) == (name == "flat-meta.json")
+        with pytest.raises(CliError) as exc:
+            load_operator(path)
+        assert str(exc.value) == f"{path}: {error}"
+        assert main(["detect", str(path), "lz"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(CliError):

@@ -13,6 +13,7 @@ from insep import (
     Verdict,
     apply_product,
     equal_argument_check,
+    hamming,
     hamming_offdiagonal_check,
     lemma1_bound_check,
     lemma2_witness_value,
@@ -20,7 +21,14 @@ from insep import (
     map_negativity_check,
     min_eigenvalue,
 )
-from insep.criteria import _HALF_POWERS, TOL_CRIT, _best_offdiagonal, _stack_best_margins, _violates
+from insep.criteria import (
+    _HALF_POWERS,
+    TOL_CRIT,
+    _best_offdiagonal,
+    _lemma1_holds,
+    _stack_best_margins,
+    _violates,
+)
 from insep.linalg import TOL_PSD, _psd_certified
 from insep.reproduce import _soundness_specs
 from insep.states import (
@@ -335,6 +343,23 @@ def test_map_negativity_rejects_negative_or_non_finite_tol(tol):
     assert map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=TOL_PSD).verdict is Verdict.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("tol", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_map_negativity_refuses_a_bool_tol(tol):
+    # True ran at tol 1.0 and called GHZ inconclusive.
+    rho = ghz(3)
+    with pytest.raises(TypeError, match=f"^tolerance must be a number, got {tol!r}$"):
+        map_negativity_check(rho, MapSpec.all_qubits(3, MapKind.P), tol)
+    assert map_negativity_check(rho, MapSpec.all_qubits(3, MapKind.P)).verdict is Verdict.INSEPARABLE
+
+
+def test_lemma1_comparison_fails_on_nan():
+    # A NaN on either side of the bound is a failure for both callers.
+    c = np.array([1.0, np.nan, np.nan, 1.0])
+    s = np.array([np.nan, 1.0, np.nan, 1.0])
+    assert _lemma1_holds(c, s, 3, 2).tolist() == [False, False, False, True]
+    assert not _lemma1_holds(np.nan, 0.5, 3, 3)
+
+
 def decision_sweep():
     """(rho, spec) over the soundness specs, GHZ and the reproduce grids."""
     for n in range(2, 7):
@@ -407,10 +432,15 @@ def test_lemma2_rejects_bad_indices():
         lemma2_witness_value(sigma, 0, 7)
 
 
-@pytest.mark.parametrize("check", [lemma1_bound_check, lemma2_witness_value])
+def hamming_of(rho, a, b):
+    return hamming(a, b, rho.n_qubits)
+
+
+@pytest.mark.parametrize("check", [lemma1_bound_check, lemma2_witness_value, hamming_of])
 @pytest.mark.parametrize("index", [True, False, 1.5, 7.0])
 def test_lemma_checks_take_basis_indices_by_map_spec_rule(check, index):
-    # True was read as a boolean mask, 7.0 failed inside numpy's indexing.
+    # True was read as a boolean mask, 7.0 failed inside numpy's indexing;
+    # hamming(True, 0, 3) returned 1.
     rho = horodecki_b(0.3)
     for a, b in ((index, 0), (0, index)):
         with pytest.raises(TypeError, match=f"^basis index must be an integer, got {index!r}$"):

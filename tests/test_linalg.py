@@ -78,6 +78,12 @@ def test_qubit_count_takes_the_package_integer_rule(count):
         HermitianOperator(np.eye(2) / 2, count)
     with pytest.raises(TypeError, match="^n_qubits must be an integer"):
         DensityOperator(np.eye(2) / 2, count)
+    # True was taken as 1 qubit: hamming(3, 0, True) said "index 3 out of
+    # range for True qubits" and all_qubits(True, P) gave the spec 1:P.
+    with pytest.raises(TypeError, match=f"^n_qubits must be an integer, got {count!r}$"):
+        hamming(3, 0, count)
+    with pytest.raises(TypeError, match=f"^n_qubits must be an integer, got {count!r}$"):
+        MapSpec.all_qubits(count, MapKind.P)
 
 
 def test_numpy_qubit_count_is_stored_as_an_int(tmp_path):

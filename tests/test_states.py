@@ -268,9 +268,9 @@ def _reference_multiseparable(n, terms, seed):
     weights /= weights.sum()
     acc = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for w in weights:
-        out = _bloch_matrix(random_bloch(rng))
+        out = _bloch_matrix(*random_bloch(rng))
         for _ in range(n - 1):
-            out = np.kron(out, _bloch_matrix(random_bloch(rng)))
+            out = np.kron(out, _bloch_matrix(*random_bloch(rng)))
         acc += w * out
     return acc
 
