@@ -1,9 +1,11 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from insep import (
+    MAX_QUBITS,
     TOL_PSD,
     BlochVector,
     DensityOperator,
@@ -18,7 +20,10 @@ from insep import linalg
 from insep.criteria import Verdict, map_negativity_check
 from insep.linalg import _psd_certified, _validate_density_stack
 from insep.maps import MapKind, MapSpec, apply_product
-from insep.states import product_state
+from insep.states import ghz, product_state, random_multiseparable
+
+# The dimension from which linalg checks real-valued matrices in real arithmetic.
+_REAL_PATH = linalg._REAL_PATH_MIN_DIM
 
 # Residual allowed to the eigensolver on the O(1) random matrices below.
 EIG_RESIDUAL = 1e-10
@@ -240,16 +245,21 @@ BOUNDARY = (
 )
 
 
-def planted_spectrum(rng, d, low):
-    """Hermitian trace-one Q diag(lam) Q* whose smallest eigenvalue is low."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def planted_spectrum(rng, d, low, real=False):
+    """Hermitian trace-one Q diag(lam) Q* whose smallest eigenvalue is low.
+
+    With real=True, Q is orthogonal, so the complex128 matrix is real-valued.
+    """
+    g = rng.standard_normal((d, d))
+    if not real:
+        g = g + 1j * rng.standard_normal((d, d))
     q, _ = np.linalg.qr(g)
     lam = rng.uniform(0.5, 1.5, d)
     lam[0] = 0.0
     lam *= (1 - low) / lam.sum()
     lam[0] = low
     m = (q * lam) @ q.conj().T
-    return (m + m.conj().T) / 2
+    return ((m + m.conj().T) / 2).astype(np.complex128)
 
 
 @pytest.mark.parametrize("d", [2, 16, 256])
@@ -391,18 +401,103 @@ def test_stacked_certificate_is_the_single_certificate_per_matrix(monkeypatch):
     assert calls == [stack.shape]
 
 
+def certificate_lows(tol):
+    """Planted lambda_min around the certificate's floor -3*tol/4 and the cut -tol."""
+    return (0.01, 0.0, -0.25 * tol, -0.7 * tol, -0.75 * tol, -0.8 * tol, -tol, -1.1 * tol)
+
+
+CERTIFIED_LOWS = [True, True, True, False, False, False, False, False]
+
+
 @pytest.mark.parametrize("tol", [TOL_PSD, 1e-6, 1e-3])
 def test_stacked_certificate_at_any_tol(tol):
     # The certificate's floor is -3*tol/4 and map_negativity_check's cut is
     # -tol; a matrix below -tol/2 does not factor, so the stack falls back
     # to one certificate per matrix.
     rng = np.random.default_rng(21)
-    lows = (0.01, 0.0, -0.25 * tol, -0.7 * tol, -0.75 * tol, -0.8 * tol, -tol, -1.1 * tol)
-    stack = np.stack([planted_spectrum(rng, 16, low) for low in lows])
+    stack = np.stack([planted_spectrum(rng, 16, low) for low in certificate_lows(tol)])
     expected = [_psd_certified(m, tol) for m in stack]
-    assert expected == [True, True, True, False, False, False, False, False]
+    assert expected == CERTIFIED_LOWS
     assert _psd_certified(stack, tol).tolist() == expected
     assert _psd_certified(stack.reshape(2, 4, 16, 16), tol).tolist() == [expected[:4], expected[4:]]
+
+
+# Above every dimension, so _real_valued keeps each matrix complex.
+COMPLEX_ONLY = 1 << (MAX_QUBITS + 1)
+
+
+@pytest.mark.parametrize("d", [64, 128])
+@pytest.mark.parametrize("tol", [TOL_PSD, 1e-6, 1e-3])
+def test_real_valued_certificate_at_any_tol(monkeypatch, d, tol):
+    # From d = 64 a real-valued matrix is factored in real arithmetic; it is
+    # certified exactly where the complex factorization certifies it.
+    rng = np.random.default_rng(d)
+    stack = np.stack([planted_spectrum(rng, d, low, real=True) for low in certificate_lows(tol)])
+    assert [_psd_certified(m, tol) for m in stack] == CERTIFIED_LOWS
+    assert _psd_certified(stack, tol).tolist() == CERTIFIED_LOWS
+    monkeypatch.setattr(linalg, "_REAL_PATH_MIN_DIM", COMPLEX_ONLY)
+    assert [_psd_certified(m, tol) for m in stack] == CERTIFIED_LOWS
+
+
+def test_real_valued_takes_a_zero_imaginary_part_from_d_64():
+    m = np.eye(64, dtype=complex) / 64
+    m.imag[0, 1] = -0.0
+    assert linalg._real_valued(m).dtype == np.float64
+    assert linalg._real_valued(m[np.newaxis]).dtype == np.float64
+    assert linalg._real_valued(m[:32, :32]).dtype == np.complex128
+    m.imag[0, 1] = 5e-324
+    assert linalg._real_valued(m) is m
+
+
+@pytest.mark.parametrize(
+    "family, n, dtype",
+    [("ghz", 6, np.float64), ("ghz", 8, np.float64), ("random-msep", 6, np.complex128), ("ghz", 5, np.complex128)],
+)
+def test_certificate_factors_real_valued_images_from_d_64_in_real_arithmetic(monkeypatch, family, n, dtype):
+    seen = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        seen.append(a.dtype)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    rho = ghz(n) if family == "ghz" else random_multiseparable(n, 4, 1)
+    map_negativity_check(rho, MapSpec.all_qubits(n, MapKind.P))
+    assert len(seen) == 2 and set(seen) == {np.dtype(dtype)}
+
+
+def _real_valued_defect(kind):
+    m = np.eye(64, dtype=complex) / 64
+    if kind == "asymmetric":
+        m[0, 1] = 1e-6
+    elif kind == "nan":
+        m[3, 5] = np.nan
+    elif kind == "inf":
+        m[3, 3] = np.inf
+    else:
+        m[0, 1], m[1, 0] = OVERFLOWING[0][1], OVERFLOWING[1][0]
+    return m
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("asymmetric", "matrix is not Hermitian (max deviation 1.000e-06)"),
+        ("nan", "matrix has NaN or infinite entries"),
+        ("inf", "matrix has NaN or infinite entries"),
+        ("overflow", "matrix is not Hermitian (max deviation inf)"),
+    ],
+)
+def test_real_valued_defects_raise_the_complex_route_messages(monkeypatch, kind, message):
+    m = _real_valued_defect(kind)
+    stack = np.stack([np.eye(64, dtype=complex) / 64, m])
+    for route in (_REAL_PATH, COMPLEX_ONLY):
+        monkeypatch.setattr(linalg, "_REAL_PATH_MIN_DIM", route)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for validate in (HermitianOperator, DensityOperator, _validate_density_stack):
+                assert _raised(validate, stack if validate is _validate_density_stack else m) == message
 
 
 def test_certificate_of_an_empty_stack():
@@ -447,6 +542,11 @@ def test_hamming_range_checks():
         hamming(8, 0, 3)
     with pytest.raises(ValueError):
         hamming(0, -1, 3)
+    # -1 was Python's "negative shift count"; a huge n built 1 << n first.
+    for n in (-1, 0, MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match=f"^n_qubits {n} is outside 1..{MAX_QUBITS}$"):
+            hamming(0, 0, n)
+    assert hamming(0, (1 << MAX_QUBITS) - 1, MAX_QUBITS) == MAX_QUBITS
 
 
 # ---------------------------------------------------------------- bloch

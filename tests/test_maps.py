@@ -112,6 +112,13 @@ def test_map_spec_validation():
     assert hash(shuffled) == hash(MapSpec(((2, MapKind.T), (3, MapKind.X), (1, MapKind.T))))
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_all_qubits_needs_a_qubit(n):
+    # Each was the empty spec, which printed as '' and mapped nothing.
+    with pytest.raises(ValueError, match=f"^n_qubits {n} must be >= 1$"):
+        MapSpec.all_qubits(n, MapKind.P)
+
+
 NOT_INTEGERS = [True, False, 1.5]
 
 
