@@ -40,12 +40,7 @@ import numpy as np
 
 from . import criteria, states
 from .criteria import DetectionReport, Verdict
-from .linalg import (
-    MAX_QUBITS,
-    DensityOperator,
-    HermitianOperator,
-    min_eigenvalue,
-)
+from .linalg import DensityOperator, HermitianOperator, _qubit_count, min_eigenvalue
 from .maps import MapKind, MapSpec, apply_product
 from .reproduce import run_all
 from .states import Bell
@@ -184,8 +179,9 @@ def _read_written_layout(path):
             except (ValueError, RecursionError):
                 return None
             del head, text
-            n = data.get("n_qubits")
-            if type(n) is not int or not 1 <= n <= MAX_QUBITS:
+            try:
+                n = _qubit_count(data.get("n_qubits"))
+            except (TypeError, ValueError):
                 return None
             d = 1 << n
             arr = _read_rows(f, d)
@@ -217,11 +213,11 @@ def _read_json_operator(path):
     for key in ("n_qubits", "entries"):
         if key not in data:
             raise CliError(f"{path}: missing required field {key!r}")
-    n = data["n_qubits"]
-    # A JSON true is a Python bool, which isinstance(n, int) would accept;
-    # the range check comes before 1 << n, which a huge n would exhaust.
-    if type(n) is not int or not 1 <= n <= MAX_QUBITS:
-        raise CliError(f"{path}: n_qubits must be an integer in 1..{MAX_QUBITS}")
+    try:
+        # Before 1 << n, which a huge n would exhaust; a JSON true is refused.
+        n = _qubit_count(data["n_qubits"])
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
     entries = data["entries"]
     try:
         # dtype=float would turn "0.5", true and false into numbers. The

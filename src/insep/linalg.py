@@ -26,7 +26,6 @@ __all__ = [
     "DensityOperator",
     "HermitianOperator",
     "bloch_from_density",
-    "density_from_bloch",
     "hamming",
     "min_eigenvalue",
     "tensor",
@@ -48,8 +47,8 @@ def _qubit_index(q, what: str = "qubit index") -> int:
 
     The package's one integer rule: the qubit indices of insep.maps, the
     basis indices of hamming and of insep.criteria's lemma checks, and the
-    qubit counts of HermitianOperator, hamming and MapSpec.all_qubits, each
-    of which passes its own ``what`` for the message.
+    qubit counts of _qubit_count, each of which passes its own ``what`` for
+    the message.
     """
     # A bool is an int to operator.index, so True would be qubit 1.
     if isinstance(q, bool):
@@ -58,6 +57,20 @@ def _qubit_index(q, what: str = "qubit index") -> int:
         return operator.index(q)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {q!r}") from None
+
+
+def _qubit_count(n) -> int:
+    """A qubit count as a Python int in 1..MAX_QUBITS.
+
+    The package's one count rule, applied where a count enters the library
+    (HermitianOperator, hamming, MapSpec.all_qubits, the state builders and
+    the file readers), before any 1 << n is built: a TypeError by
+    _qubit_index's rule, then a ValueError outside 1..MAX_QUBITS.
+    """
+    n = _qubit_index(n, "n_qubits")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n_qubits {n} is outside 1..{MAX_QUBITS}")
+    return n
 
 
 # Smallest d at which _real_valued's scan of the imaginary parts pays for itself.
@@ -118,14 +131,9 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         dim = m.shape[0]
-        if n_qubits is None:
-            n_qubits = dim.bit_length() - 1
-        elif type(n_qubits) is not int:
-            n_qubits = _qubit_index(n_qubits, "n_qubits")
-        if n_qubits < 1 or dim != 1 << n_qubits:
+        n_qubits = _qubit_count(dim.bit_length() - 1 if n_qubits is None else n_qubits)
+        if dim != 1 << n_qubits:
             raise ValueError(f"dimension {dim} is not 2^n for n >= 1 qubits")
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(f"{n_qubits} qubits exceeds the cap of {MAX_QUBITS}")
         dev = float(_hermitian_deviation(m))
         # NaN fails the comparison too. Only a failed matrix pays for the
         # finiteness pass, as a finite deviation implies finite entries.
@@ -217,17 +225,20 @@ class DensityOperator(HermitianOperator):
 
     The PSD check is certified by a shifted Cholesky when it can be, and
     otherwise decided by the minimum eigenvalue against -TOL_PSD. Given a
-    HermitianOperator and no qubit count, it shares that operator's read-only
-    matrix, with no copy and no second Hermiticity check.
+    HermitianOperator and no qubit count or its own, it shares that
+    operator's read-only matrix, with no copy and no second Hermiticity
+    check; under another count its matrix fails the dimension check.
     """
 
     __slots__ = ()
 
     def __init__(self, matrix, n_qubits: int | None = None):
-        if isinstance(matrix, HermitianOperator) and n_qubits is None:
+        if not isinstance(matrix, HermitianOperator):
+            super().__init__(matrix, n_qubits)
+        elif n_qubits is None or _qubit_count(n_qubits) == matrix.n_qubits:
             self.matrix, self.n_qubits = matrix.matrix, matrix.n_qubits
         else:
-            super().__init__(matrix, n_qubits)
+            super().__init__(matrix.matrix, n_qubits)
         tr = self.trace()
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"trace {tr!r} is not 1 within {TOL_TRACE}")
@@ -287,12 +298,10 @@ def hamming(a: int, b: int, n: int) -> int:
     """Number of differing bits between the n-bit expansions of a and b.
 
     a, b and n are integers by the package's rule, so a bool is a TypeError.
-    n is a qubit count, 1..MAX_QUBITS, checked before 1 << n is built.
+    n is a qubit count by _qubit_count's rule.
     """
     a, b = _qubit_index(a, "basis index"), _qubit_index(b, "basis index")
-    n = _qubit_index(n, "n_qubits")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n_qubits {n} is outside 1..{MAX_QUBITS}")
+    n = _qubit_count(n)
     top = 1 << n
     if not 0 <= a < top:
         raise ValueError(f"index {a} out of range for {n} qubits")
@@ -329,7 +338,3 @@ def _bloch_matrix(x, y, z) -> np.ndarray:
     m[..., 1, 1] = 0.5 - z
     return m
 
-
-def density_from_bloch(v) -> DensityOperator:
-    """Single-qubit density operator at Bloch point v = (x, y, z)."""
-    return DensityOperator(_bloch_matrix(*BlochVector(*v)), 1)

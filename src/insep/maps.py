@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import HermitianOperator, _qubit_index
+from .linalg import HermitianOperator, _qubit_count, _qubit_index
 
 __all__ = [
     "MapKind",
@@ -146,11 +146,7 @@ class MapSpec:
 
     @classmethod
     def all_qubits(cls, n: int, kind: MapKind) -> MapSpec:
-        # n is a count by the package's integer rule: True is not 1 qubit.
-        n = _qubit_index(n, "n_qubits")
-        if n < 1:
-            raise ValueError(f"n_qubits {n} must be >= 1")
-        return cls(tuple((q, kind) for q in range(1, n + 1)))
+        return cls(tuple((q, kind) for q in range(1, _qubit_count(n) + 1)))
 
     def validate_for(self, n: int) -> None:
         for q, _ in self.assignments:

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, BlochVector, DensityOperator, _bloch_matrix
+from .linalg import BlochVector, DensityOperator, _bloch_matrix, _qubit_count, _qubit_index
 
 __all__ = [
     "Bell",
@@ -88,10 +88,9 @@ def pure_superposition(p: float) -> DensityOperator:
 
 def ghz(n: int) -> DensityOperator:
     """Projector onto (|0...0> + |1...1>)/sqrt(2); antidiagonal corners are 1/2."""
+    n = _qubit_count(n)
     if n < 2:
         raise ValueError(f"GHZ needs at least 2 qubits, got {n}")
-    if n > MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
     d = 1 << n
     v = np.zeros(d, dtype=np.complex128)
     v[0] = v[d - 1] = 1 / np.sqrt(2)
@@ -116,11 +115,8 @@ def _kron_chain(factors) -> np.ndarray:
 def product_state(blochs) -> DensityOperator:
     """Tensor product of single-qubit states given by their Bloch vectors, qubit 1 leftmost."""
     factors = [_bloch_matrix(*BlochVector(*v)) for v in blochs]
-    if not factors:
-        raise ValueError("need at least one Bloch vector")
-    if len(factors) > MAX_QUBITS:
-        # Checked before the 4^n-entry product is built, not after.
-        raise ValueError(f"{len(factors)} qubits exceeds the cap of {MAX_QUBITS}")
+    # Checked before the 4^n-entry product is built, not after.
+    _qubit_count(len(factors))
     return DensityOperator(_kron_chain(factors))
 
 
@@ -170,8 +166,8 @@ def _multiseparable_stack(n: int, terms: int, seeds) -> np.ndarray:
     one at a time into zeros, so every matrix is bit for bit the one built
     for its seed alone. The matrices are not validated.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    n = _qubit_count(n)
+    terms = _qubit_index(terms, "terms")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     count = len(seeds)

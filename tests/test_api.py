@@ -1,12 +1,17 @@
 import ast
 import inspect
+import json
 import re
 
+import numpy as np
 import pytest
 
 import insep
 from insep import criteria, linalg, maps, states
-from insep.states import bell_ket, isotropic
+from insep.cli import CliError, load_operator, main, serialize_operator
+from insep.linalg import DensityOperator, HermitianOperator, hamming
+from insep.maps import MapKind, MapSpec
+from insep.states import bell_ket, ghz, isotropic, product_state, random_multiseparable
 
 MODULES = [criteria, linalg, maps, states]
 
@@ -44,3 +49,67 @@ def test_bell_ket_refuses_what_is_not_a_bell(bell):
         bell_ket(bell)
     with pytest.raises(TypeError, match=f"^{message}$"):
         isotropic(0.5, bell)
+
+
+def _load_count(n, path):
+    """load_operator on GHZ(3)'s written file with n as its n_qubits; raises the rule's error."""
+    count = json.dumps(n.item() if isinstance(n, np.generic) else n)
+    path.write_text(serialize_operator(ghz(3)).replace('"n_qubits": 3,', f'"n_qubits": {count},'))
+    try:
+        return load_operator(path)
+    except CliError as exc:
+        # The reader gives the rule's own error after the file's name.
+        assert str(exc) == f"{path}: {exc.__cause__}"
+        raise exc.__cause__ from None
+
+
+# Each entry point that takes a count: (call on count n, the count's name in
+# messages, the insep argv that passes n to it and the prefix of its error
+# line, or None). product_state counts its factors, so only the range applies.
+_EIGHT = np.eye(8) / 8
+COUNT_ENTRY_POINTS = {
+    "HermitianOperator": (lambda n, _: HermitianOperator(_EIGHT, n), "n_qubits", None),
+    "DensityOperator": (lambda n, _: DensityOperator(_EIGHT, n), "n_qubits", None),
+    "DensityOperator of an operator": (
+        lambda n, _: DensityOperator(HermitianOperator(_EIGHT), n),
+        "n_qubits",
+        None,
+    ),
+    "hamming": (lambda n, _: hamming(0, 1, n), "n_qubits", None),
+    "MapSpec.all_qubits": (lambda n, _: MapSpec.all_qubits(n, MapKind.P), "n_qubits", None),
+    "ghz": (lambda n, _: ghz(n), "n_qubits", lambda n, _: (["gen", "ghz", f"n={n}"], "")),
+    "random_multiseparable n": (
+        lambda n, _: random_multiseparable(n, 2, 0),
+        "n_qubits",
+        lambda n, _: (["gen", "random-msep", f"n={n}"], ""),
+    ),
+    "random_multiseparable terms": (
+        lambda n, _: random_multiseparable(2, n, 0),
+        "terms",
+        lambda n, _: (["gen", "random-msep", "n=2", f"terms={n}"], ""),
+    ),
+    "product_state": (lambda n, _: product_state([(0.0, 0.0, 0.0)] * n), "n_qubits", None),
+    "file n_qubits": (_load_count, "n_qubits", lambda n, path: (["detect", str(path), "lz"], f"{path}: ")),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_every_qubit_count_takes_one_rule(entry, tmp_path, capsys):
+    call, what, cli = COUNT_ENTRY_POINTS[entry]
+    path = tmp_path / "count.json"
+    call(np.int64(3), path)
+    refusals = []
+    if entry != "product_state":
+        refusals += [(n, TypeError, f"{what} must be an integer, got {n!r}") for n in (True, 3.0)]
+    if what == "terms":
+        refusals.append((0, ValueError, "terms must be >= 1, got 0"))
+    else:
+        refusals += [(n, ValueError, f"n_qubits {n} is outside 1..12") for n in (0, 13)]
+    for n, kind, message in refusals:
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            call(n, path)
+        # A gen parameter is an integer by its parser, so only a file passes True or 3.0.
+        if cli is not None and (type(n) is int or entry == "file n_qubits"):
+            argv, prefix = cli(n, path)
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {prefix}{message}\n")

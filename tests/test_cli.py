@@ -158,12 +158,12 @@ _GEN_CORPUS = [
     (["ghz"], 2, "missing required parameter n=..."),
     (["ghz", "n=1"], 2, "GHZ needs at least 2 qubits, got 1"),
     (["ghz", "n=2.5"], 2, "parameter n must be an integer"),
-    (["ghz", "n=13"], 2, "13 qubits exceeds the cap of 12"),
+    (["ghz", "n=13"], 2, "n_qubits 13 is outside 1..12"),
     (["ghz", "n=2", "zeta=1", "alpha=2"], 2, "unexpected parameters for ghz: alpha, zeta"),
     (["random-msep"], 2, "missing required parameter n=..."),
     (["random-msep", "n=2", "terms=0"], 2, "terms must be >= 1, got 0"),
     (["random-msep", "n=2", "terms=x"], 2, "parameter terms must be an integer"),
-    (["random-msep", "n=0"], 2, "n must be in 1..12, got 0"),
+    (["random-msep", "n=0"], 2, "n_qubits 0 is outside 1..12"),
     (["random-msep", "n=x", "terms=0"], 2, "parameter n must be an integer"),
     # Numbers are ASCII without digit-group underscores, and no parameter
     # may be given twice; each of these once wrote a file.
@@ -248,7 +248,8 @@ def test_load_rejects_n_qubits_out_of_range(tmp_path, capsys, n):
     path = tmp_path / "bad.json"
     entries = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     path.write_text(json.dumps({"n_qubits": n, "entries": entries}))
-    message = f"{path}: n_qubits must be an integer in 1..12"
+    rule = "must be an integer, got True" if n is True else f"{n} is outside 1..12"
+    message = f"{path}: n_qubits {rule}"
     with pytest.raises(CliError) as exc:
         load_operator(path)
     assert str(exc.value) == message

@@ -11,7 +11,6 @@ from insep import (
     DensityOperator,
     HermitianOperator,
     bloch_from_density,
-    density_from_bloch,
     hamming,
     min_eigenvalue,
     tensor,
@@ -126,11 +125,21 @@ def test_density_operator_shares_a_validated_matrix():
         DensityOperator(HermitianOperator(np.diag([1.5, -0.5])))
 
 
+def test_density_operator_shares_an_operator_of_its_own_count():
+    op = HermitianOperator(np.eye(2) / 2)
+    for n in (None, 1, np.int64(1)):
+        rho = DensityOperator(op, n)
+        assert rho.matrix is op.matrix and rho.n_qubits == 1
+    # Was numpy's "must be real number, not HermitianOperator".
+    with pytest.raises(ValueError, match=r"^dimension 2 is not 2\^n for n >= 1 qubits$"):
+        DensityOperator(op, 2)
+
+
 def test_bloch_vector_ball_invariant():
     BlochVector(0.3, -0.3, 0.2)
     nan = float("nan")
     for v in [(0.5, 0.5, 0.0), (nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, nan)]:
-        for build in (lambda v: BlochVector(*v), density_from_bloch, lambda v: product_state([v])):
+        for build in (lambda v: BlochVector(*v), lambda v: product_state([v])):
             with pytest.raises(ValueError, match="outside the Bloch ball"):
                 build(v)
 
@@ -567,8 +576,8 @@ def test_bloch_round_trip():
         v = rng.uniform(-0.5, 0.5, 3)
         if v @ v > 0.25:
             continue
-        rho = density_from_bloch(tuple(v))
-        back = density_from_bloch(bloch_from_density(rho))
+        rho = product_state([tuple(v)])
+        back = product_state([bloch_from_density(rho)])
         assert np.max(np.abs(rho.matrix - back.matrix)) <= 1e-12
         done += 1
 
@@ -577,4 +586,4 @@ def test_bloch_requires_single_qubit_and_ball():
     with pytest.raises(ValueError):
         bloch_from_density(DensityOperator(np.eye(4) / 4))
     with pytest.raises(ValueError):
-        density_from_bloch((0.6, 0.0, 0.0))
+        product_state([(0.6, 0.0, 0.0)])

@@ -11,7 +11,6 @@ from insep import (
     apply_on_qubit_dense,
     apply_product,
     bloch_from_density,
-    density_from_bloch,
     lambda_p,
     min_eigenvalue,
 )
@@ -90,7 +89,7 @@ def test_lambda_p_projects_bloch_to_xy_plane():
     rng = mixture_rng(77)
     for _ in range(100):
         x, y, z = random_bloch(rng)
-        image = bloch_from_density(lambda_p(density_from_bloch((x, y, z))))
+        image = bloch_from_density(lambda_p(product_state([(x, y, z)])))
         assert (image.x, image.y, image.z) == pytest.approx((x, y, 0.0), abs=1e-15)
 
 
@@ -115,7 +114,7 @@ def test_map_spec_validation():
 @pytest.mark.parametrize("n", [0, -2])
 def test_all_qubits_needs_a_qubit(n):
     # Each was the empty spec, which printed as '' and mapped nothing.
-    with pytest.raises(ValueError, match=f"^n_qubits {n} must be >= 1$"):
+    with pytest.raises(ValueError, match=f"^n_qubits {n} is outside 1..12$"):
         MapSpec.all_qubits(n, MapKind.P)
 
 

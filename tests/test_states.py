@@ -11,7 +11,6 @@ from insep import (
     MapKind,
     Verdict,
     apply_on_qubit,
-    density_from_bloch,
     lz_antidiagonal_check,
     min_eigenvalue,
     tensor,
@@ -161,9 +160,9 @@ def test_product_of_centered_bloch_vectors_is_maximally_mixed():
 
 def test_product_state_matches_chained_tensor():
     blochs = [(0.1, 0.2, 0.3), (0.0, -0.4, 0.1), (0.2, 0.2, -0.2)]
-    expected = density_from_bloch(blochs[0])
+    expected = product_state(blochs[:1])
     for v in blochs[1:]:
-        expected = tensor(expected, density_from_bloch(v))
+        expected = tensor(expected, product_state([v]))
     rho = product_state(blochs)
     assert isinstance(rho, DensityOperator)
     assert rho.n_qubits == 3
@@ -173,11 +172,11 @@ def test_product_state_matches_chained_tensor():
 def test_product_state_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError, match="Bloch ball"):
         product_state([(0.0, 0.0, 0.0), (0.4, 0.4, 0.0)])
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="^n_qubits 0 is outside 1..12$"):
         product_state([])
     # Over the qubit cap: rejected before any Kronecker product is built.
     monkeypatch.setattr(states, "_kron_chain", None)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="^n_qubits 13 is outside 1..12$"):
         product_state([(0.0, 0.0, 0.0)] * 13)
     monkeypatch.undo()
     # A point on the sphere within TOL_PSD is a valid pure factor.
