@@ -199,9 +199,10 @@ def _read_json_operator(path):
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    # ValueError, JSONDecodeError's base, is also what an integer past int()'s digit limit raises.
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     # Only a file with a true or false literal can hide a boolean among the
     # entries. The text is released before the entries become arrays, so it

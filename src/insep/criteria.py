@@ -20,8 +20,8 @@ from .linalg import (
     TOL_PSD,
     DensityOperator,
     HermitianOperator,
+    _integer_in,
     _psd_certified,
-    _qubit_index,
     hamming,
 )
 from .maps import MapKind, MapSpec, apply_product
@@ -249,15 +249,14 @@ def lemma2_witness_value(sigma: HermitianOperator, a: int, b: int) -> float:
 
     Equals s_aa + s_bb - 2|s_ab|; when all diagonal entries are 1/2^n this is
     2(1/2^n - |s_ab|), negative as soon as the element beats 1/2^n. a and b
-    are integers by MapSpec's rule, so a bool or a float is a TypeError.
+    are basis indices in 0..d - 1 by _integer_in's rule, so a bool or a float
+    is a TypeError.
     """
-    a, b = _qubit_index(a, "basis index"), _qubit_index(b, "basis index")
+    m = sigma.matrix
+    top = m.shape[0] - 1
+    a, b = _integer_in(a, 0, top, "basis index"), _integer_in(b, 0, top, "basis index")
     if a == b:
         raise ValueError("witness needs two distinct basis indices")
-    m = sigma.matrix
-    d = m.shape[0]
-    if not (0 <= a < d and 0 <= b < d):
-        raise ValueError(f"indices ({a}, {b}) out of range for dimension {d}")
     if m[a, b] == 0:
         raise ValueError(f"element ({a}, {b}) is zero; witness vector undefined")
     return float(_lemma2_values(m, a, b))
@@ -291,15 +290,14 @@ def lemma1_bound_check(rho: HermitianOperator, a: int, b: int) -> bool:
 
     Requires an equal-argument input: each partial application then shrinks
     a bit-matched element by at most a factor of two and bit-mismatched
-    elements are untouched. a and b are integers by MapSpec's rule, so a
-    bool or a float is a TypeError.
+    elements are untouched. a and b are basis indices by hamming's rule, so
+    a bool or a float is a TypeError.
     """
-    a, b = _qubit_index(a, "basis index"), _qubit_index(b, "basis index")
-    if a == b:
+    n = rho.n_qubits
+    h = hamming(a, b, n)
+    if h == 0:
         raise ValueError("bound is about off-diagonal elements; need a != b")
     if not equal_argument_check(rho):
         raise ValueError("input does not satisfy the equal-argument precondition")
-    n = rho.n_qubits
-    h = hamming(a, b, n)
     mapped = apply_product(rho, MapSpec.all_qubits(n, MapKind.P))
     return bool(_lemma1_holds(abs(rho.matrix[a, b]), abs(mapped.matrix[a, b]), n, h))

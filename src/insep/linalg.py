@@ -42,35 +42,34 @@ TOL_PSD = 1e-9
 MAX_QUBITS = 12
 
 
-def _qubit_index(q, what: str = "qubit index") -> int:
-    """An index or a count as a Python int; TypeError for a bool or a non-integer.
+def _integer_in(q, lo, hi, what: str) -> int:
+    """q as a Python int in lo..hi (hi may be math.inf): the package's one integer rule.
 
-    The package's one integer rule: the qubit indices of insep.maps, the
-    basis indices of hamming and of insep.criteria's lemma checks, and the
-    qubit counts of _qubit_count, each of which passes its own ``what`` for
-    the message.
+    A bool or a non-integer is a TypeError and a value outside lo..hi a
+    ValueError, each naming ``what``: a qubit index, a basis index, n_qubits
+    or terms.
     """
-    # A bool is an int to operator.index, so True would be qubit 1.
-    if isinstance(q, bool):
-        raise TypeError(f"{what} must be an integer, got {q!r}")
-    try:
-        return operator.index(q)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {q!r}") from None
+    if type(q) is not int:
+        # A bool is an int to operator.index, so True would be qubit 1.
+        if isinstance(q, bool):
+            raise TypeError(f"{what} must be an integer, got {q!r}")
+        try:
+            q = operator.index(q)
+        except TypeError:
+            raise TypeError(f"{what} must be an integer, got {q!r}") from None
+    if not lo <= q <= hi:
+        raise ValueError(f"{what} {q} is outside {lo}..{hi}")
+    return q
 
 
 def _qubit_count(n) -> int:
-    """A qubit count as a Python int in 1..MAX_QUBITS.
+    """A qubit count as a Python int in 1..MAX_QUBITS, by _integer_in's rule.
 
-    The package's one count rule, applied where a count enters the library
-    (HermitianOperator, hamming, MapSpec.all_qubits, the state builders and
-    the file readers), before any 1 << n is built: a TypeError by
-    _qubit_index's rule, then a ValueError outside 1..MAX_QUBITS.
+    Applied where a count enters the library (HermitianOperator, hamming,
+    MapSpec.all_qubits, the state builders and the file readers), before
+    any 1 << n is built.
     """
-    n = _qubit_index(n, "n_qubits")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n_qubits {n} is outside 1..{MAX_QUBITS}")
-    return n
+    return _integer_in(n, 1, MAX_QUBITS, "n_qubits")
 
 
 # Smallest d at which _real_valued's scan of the imaginary parts pays for itself.
@@ -131,7 +130,8 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         dim = m.shape[0]
-        n_qubits = _qubit_count(dim.bit_length() - 1 if n_qubits is None else n_qubits)
+        # An inferred count is at least 1, so the dimension check names a 1x1 or 0x0 matrix.
+        n_qubits = _qubit_count(max(dim.bit_length() - 1, 1) if n_qubits is None else n_qubits)
         if dim != 1 << n_qubits:
             raise ValueError(f"dimension {dim} is not 2^n for n >= 1 qubits")
         dev = float(_hermitian_deviation(m))
@@ -297,16 +297,12 @@ def min_eigenvalue(op: HermitianOperator) -> float:
 def hamming(a: int, b: int, n: int) -> int:
     """Number of differing bits between the n-bit expansions of a and b.
 
-    a, b and n are integers by the package's rule, so a bool is a TypeError.
-    n is a qubit count by _qubit_count's rule.
+    n is a qubit count by _qubit_count's rule, and a and b are basis indices
+    in 0..2^n - 1 by _integer_in's, so a bool is a TypeError.
     """
-    a, b = _qubit_index(a, "basis index"), _qubit_index(b, "basis index")
     n = _qubit_count(n)
-    top = 1 << n
-    if not 0 <= a < top:
-        raise ValueError(f"index {a} out of range for {n} qubits")
-    if not 0 <= b < top:
-        raise ValueError(f"index {b} out of range for {n} qubits")
+    top = (1 << n) - 1
+    a, b = _integer_in(a, 0, top, "basis index"), _integer_in(b, 0, top, "basis index")
     return (a ^ b).bit_count()
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import HermitianOperator, _qubit_count, _qubit_index
+from .linalg import MAX_QUBITS, HermitianOperator, _integer_in, _qubit_count
 
 __all__ = [
     "MapKind",
@@ -93,12 +93,7 @@ def _require_kind(kind) -> None:
 def _operator_and_qubit(rho, k) -> tuple[int, int]:
     """(n, k) for a single-qubit map on qubit k of a validated n-qubit rho."""
     _require_operator(rho)
-    n = rho.n_qubits
-    if type(k) is not int:
-        k = _qubit_index(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"qubit index {k} out of range 1..{n}")
-    return n, k
+    return rho.n_qubits, _integer_in(k, 1, rho.n_qubits, "qubit index")
 
 
 def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
@@ -129,9 +124,7 @@ class MapSpec:
         seen = set()
         assignments = []
         for q, kind in self.assignments:
-            q = _qubit_index(q)
-            if q < 1:
-                raise ValueError(f"qubit index {q} must be >= 1")
+            q = _integer_in(q, 1, MAX_QUBITS, "qubit index")
             if q in seen:
                 raise ValueError(f"qubit {q} assigned more than once")
             _require_kind(kind)
@@ -150,8 +143,7 @@ class MapSpec:
 
     def validate_for(self, n: int) -> None:
         for q, _ in self.assignments:
-            if q > n:
-                raise ValueError(f"qubit index {q} out of range for {n} qubits")
+            _integer_in(q, 1, n, "qubit index")
 
     def __str__(self):
         return ",".join(f"{q}:{kind.value}" for q, kind in self.assignments)
@@ -182,7 +174,7 @@ def _map_qubit(m: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:
     elif kind is MapKind.IDENTITY:
         out = r
     else:
-        raise TypeError(f"unknown map kind {kind!r}")
+        _require_kind(kind)
     return out.reshape(m.shape)
 
 

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import BlochVector, DensityOperator, _bloch_matrix, _qubit_count, _qubit_index
+from .linalg import BlochVector, DensityOperator, _bloch_matrix, _integer_in, _qubit_count
 
 __all__ = [
     "Bell",
@@ -124,7 +124,7 @@ def mixture_rng(seed: int) -> np.random.Generator:
     """The package's reproducible generator: Philox (counter-based), raw key.
 
     A numpy integer seed gives the stream of the equal Python int; a bool or
-    a non-integer is refused, as is a seed out of range.
+    a non-integer is refused, as is a seed outside 0..2**128 - 1.
     """
     if type(seed) is not int and isinstance(seed, np.integer):
         seed = int(seed)
@@ -167,9 +167,7 @@ def _multiseparable_stack(n: int, terms: int, seeds) -> np.ndarray:
     for its seed alone. The matrices are not validated.
     """
     n = _qubit_count(n)
-    terms = _qubit_index(terms, "terms")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    terms = _integer_in(terms, 1, math.inf, "terms")
     count = len(seeds)
     weights = np.empty((terms, count))
     xyz = np.empty((count, terms * n, 3))

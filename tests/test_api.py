@@ -9,8 +9,9 @@ import pytest
 import insep
 from insep import criteria, linalg, maps, states
 from insep.cli import CliError, load_operator, main, serialize_operator
+from insep.criteria import lemma1_bound_check, lemma2_witness_value
 from insep.linalg import DensityOperator, HermitianOperator, hamming
-from insep.maps import MapKind, MapSpec
+from insep.maps import MapKind, MapSpec, apply_on_qubit, apply_on_qubit_dense, apply_product
 from insep.states import bell_ket, ghz, isotropic, product_state, random_multiseparable
 
 MODULES = [criteria, linalg, maps, states]
@@ -102,7 +103,7 @@ def test_every_qubit_count_takes_one_rule(entry, tmp_path, capsys):
     if entry != "product_state":
         refusals += [(n, TypeError, f"{what} must be an integer, got {n!r}") for n in (True, 3.0)]
     if what == "terms":
-        refusals.append((0, ValueError, "terms must be >= 1, got 0"))
+        refusals.append((0, ValueError, "terms 0 is outside 1..inf"))
     else:
         refusals += [(n, ValueError, f"n_qubits {n} is outside 1..12") for n in (0, 13)]
     for n, kind, message in refusals:
@@ -113,3 +114,33 @@ def test_every_qubit_count_takes_one_rule(entry, tmp_path, capsys):
             argv, prefix = cli(n, path)
             assert main(argv) == 2
             assert capsys.readouterr() == ("", f"error: {prefix}{message}\n")
+
+
+# Each entry point that takes a qubit or a basis index: (call on index q, the
+# index's name and range in messages, the two values refused, and whether
+# `insep apply FILE q:P` passes q to it). The operator is GHZ(3), with qubits
+# 1..3 and basis indices 0..7; a MapSpec alone has qubits 1..12.
+_GHZ3 = ghz(3)
+INDEX_ENTRY_POINTS = {
+    "apply_on_qubit": (lambda q: apply_on_qubit(_GHZ3, q, MapKind.P), "qubit index", "1..3", (0, 4), False),
+    "apply_on_qubit_dense": (lambda q: apply_on_qubit_dense(_GHZ3, q, MapKind.P), "qubit index", "1..3", (0, 4), False),
+    "MapSpec": (lambda q: MapSpec.single(q, MapKind.P), "qubit index", "1..12", (0, 13), True),
+    "apply_product": (lambda q: apply_product(_GHZ3, MapSpec.single(q, MapKind.P)), "qubit index", "1..3", (4, 12), True),
+    "hamming": (lambda a: hamming(a, 0, 3), "basis index", "0..7", (-1, 8), False),
+    "lemma1_bound_check": (lambda a: lemma1_bound_check(_GHZ3, a, 0), "basis index", "0..7", (-1, 8), False),
+    "lemma2_witness_value": (lambda a: lemma2_witness_value(_GHZ3, 7, a), "basis index", "0..7", (-1, 8), False),
+}
+
+
+@pytest.mark.parametrize("entry", INDEX_ENTRY_POINTS)
+def test_every_index_takes_one_rule(entry, tmp_path, capsys):
+    call, what, bounds, values, by_apply = INDEX_ENTRY_POINTS[entry]
+    path = tmp_path / "ghz3.json"
+    path.write_text(serialize_operator(_GHZ3))
+    for q in values:
+        message = f"{what} {q} is outside {bounds}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(q)
+        if by_apply:
+            assert main(["apply", str(path), f"{q}:P"]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -161,7 +161,7 @@ _GEN_CORPUS = [
     (["ghz", "n=13"], 2, "n_qubits 13 is outside 1..12"),
     (["ghz", "n=2", "zeta=1", "alpha=2"], 2, "unexpected parameters for ghz: alpha, zeta"),
     (["random-msep"], 2, "missing required parameter n=..."),
-    (["random-msep", "n=2", "terms=0"], 2, "terms must be >= 1, got 0"),
+    (["random-msep", "n=2", "terms=0"], 2, "terms 0 is outside 1..inf"),
     (["random-msep", "n=2", "terms=x"], 2, "parameter terms must be an integer"),
     (["random-msep", "n=0"], 2, "n_qubits 0 is outside 1..12"),
     (["random-msep", "n=x", "terms=0"], 2, "parameter n must be an integer"),
@@ -345,9 +345,21 @@ def test_unreadable_and_too_deep_files_name_the_path(tmp_path, capsys, args):
     bad_byte.write_bytes(b'{"n_qubits": 1, "meta": {"x\xff": 1}, "entries": [[[1,0],[0,0]],[[0,0],[0,0]]]}')
     deep = tmp_path / "deep.json"
     deep.write_text('{"n_qubits": 1, "entries": ' + "[" * 3000 + "]" * 3000 + "}")
+    # json.loads raises a plain ValueError for an integer of more than 4300
+    # digits, which was printed without the file's name. The written layout
+    # of big_entry falls back to the nested reader.
+    huge = "9" * 5000
+    with pytest.raises(ValueError) as limit:
+        json.loads(huge)
+    big_count = tmp_path / "big_count.json"
+    big_count.write_text('{"n_qubits": ' + huge + ', "entries": []}')
+    big_entry = tmp_path / "big_entry.json"
+    big_entry.write_text(serialize_operator(states.ghz(2)).replace("[[0.0,", f"[[{huge},", 1))
     for path, message in [
         (bad_byte, f"cannot read {bad_byte}: 'utf-8' codec can't decode byte 0xff in position 27: invalid start byte"),
         (deep, f"{deep} is not valid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+        (big_count, f"{big_count} is not valid JSON: {limit.value}"),
+        (big_entry, f"{big_entry} is not valid JSON: {limit.value}"),
     ]:
         assert main([args[0], str(path), *args[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -719,7 +731,7 @@ def test_apply_identity_keeps_operator(tmp_path, bell_file, capsys):
 
 def test_apply_bad_spec_exits_2(bell_file, capsys):
     assert main(["apply", str(bell_file), "5:P"]) == 2
-    assert "out of range" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: qubit index 5 is outside 1..2\n"
 
 
 # ---------------------------------------------------------------- detect

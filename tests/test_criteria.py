@@ -428,7 +428,7 @@ def test_lemma2_rejects_bad_indices():
         lemma2_witness_value(sigma, 2, 2)
     with pytest.raises(ValueError, match="zero"):
         lemma2_witness_value(sigma, 0, 1)
-    with pytest.raises(ValueError, match="range"):
+    with pytest.raises(ValueError, match=r"^basis index 7 is outside 0\.\.3$"):
         lemma2_witness_value(sigma, 0, 7)
 
 

@@ -70,8 +70,12 @@ def test_rejects_non_square_and_bad_dimension():
         HermitianOperator(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         HermitianOperator(np.eye(3))
-    with pytest.raises(ValueError):
-        HermitianOperator(np.array([[1.0]]))
+    # Given no count, a 1x1 or 0x0 matrix was refused as n_qubits 0 or -1,
+    # a count the caller never gave.
+    for dim in (0, 1):
+        for cls in (HermitianOperator, DensityOperator):
+            with pytest.raises(ValueError, match=rf"^dimension {dim} is not 2\^n for n >= 1 qubits$"):
+                cls(np.eye(dim))
 
 
 @pytest.mark.parametrize("count", [True, False, 1.0, "1"])

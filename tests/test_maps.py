@@ -98,10 +98,10 @@ def test_lambda_p_projects_bloch_to_xy_plane():
 def test_map_spec_validation():
     with pytest.raises(ValueError, match="more than once"):
         MapSpec(((1, MapKind.P), (1, MapKind.T)))
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match=r"^qubit index 0 is outside 1\.\.12$"):
         MapSpec(((0, MapKind.P),))
     spec = MapSpec(((2, MapKind.P),))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^qubit index 2 is outside 1\.\.1$"):
         spec.validate_for(1)
     assert str(MapSpec(((2, MapKind.T), (1, MapKind.P)))) == "1:P,2:T"
     # Stored by qubit, so the order the entries are listed in does not matter.
@@ -136,7 +136,7 @@ def test_single_qubit_maps_take_qubit_indices_by_map_spec_rule(apply, q):
     with pytest.raises(TypeError, match=f"^qubit index must be an integer, got {q!r}$"):
         apply(rho, q, MapKind.P)
     assert np.array_equal(apply(rho, np.int64(2), MapKind.T).matrix, apply(rho, 2, MapKind.T).matrix)
-    with pytest.raises(ValueError, match=r"^qubit index 3 out of range 1\.\.2$"):
+    with pytest.raises(ValueError, match=r"^qubit index 3 is outside 1\.\.2$"):
         apply(rho, np.int64(3), MapKind.P)
 
 
@@ -198,7 +198,7 @@ def test_map_spec_and_dense_route_take_only_a_map_kind():
         MapSpec(((1, "P"),))
     with pytest.raises(TypeError, match="^expected MapKind, got 'P'$"):
         apply_on_qubit_dense(ghz(2), 1, "P")
-    with pytest.raises(TypeError, match="^unknown map kind 'P'$"):
+    with pytest.raises(TypeError, match="^expected MapKind, got 'P'$"):
         apply_on_qubit(ghz(2), 1, "P")
 
 
