@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
 import numpy as np
 
@@ -21,7 +20,10 @@ from .linalg import (
     DensityOperator,
     HermitianOperator,
     _integer_in,
+    _lemma2_values,
+    _lower_triangle,
     _psd_certified,
+    _real_valued,
     hamming,
 )
 from .maps import MapKind, MapSpec, apply_product
@@ -222,17 +224,12 @@ def map_negativity_check(
     if not (tol >= TOL_PSD and math.isfinite(tol)):
         raise ValueError(f"tolerance must be finite and >= {TOL_PSD!r}, got {tol!r}")
     sigma = apply_product(rho, spec)
-    if not _psd_certified(sigma.matrix, tol):
+    if not _psd_certified(_real_valued(sigma.matrix), tol):
         w, v = np.linalg.eigh(sigma.matrix)
         if w[0] < -tol:
             witness = EigenvalueWitness(min_eigenvalue=float(w[0]), eigenvector=v[:, 0].copy())
             return DetectionReport(Verdict.INSEPARABLE, Criterion.MAP_NEGATIVITY, witness, spec)
     return DetectionReport(Verdict.INCONCLUSIVE, Criterion.MAP_NEGATIVITY, map_spec=spec)
-
-
-def _lemma2_values(m: np.ndarray, a, b) -> np.ndarray:
-    """s_aa + s_bb - 2|s_ab| of each matrix of m[..., d, d], at index arrays a and b."""
-    return (m[..., a, a] + m[..., b, b]).real - 2 * np.abs(m[..., a, b])
 
 
 def _lemma1_holds(c_abs, s_abs, n: int, h):
@@ -259,18 +256,7 @@ def lemma2_witness_value(sigma: HermitianOperator, a: int, b: int) -> float:
         raise ValueError("witness needs two distinct basis indices")
     if m[a, b] == 0:
         raise ValueError(f"element ({a}, {b}) is zero; witness vector undefined")
-    return float(_lemma2_values(m, a, b))
-
-
-@cache
-def _lower_triangle(d: int) -> np.ndarray:
-    """np.tri(d, k=-1) as a read-only bool mask; building it costs more than the check.
-
-    It gathers np.tril_indices(d, -1)'s elements in their order, in d^2 bytes, not 8 d (d - 1).
-    """
-    mask = np.tri(d, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
+    return float(_lemma2_values(m[a, a], m[b, b], m[a, b]))
 
 
 def equal_argument_check(rho: HermitianOperator) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -72,7 +73,8 @@ def _qubit_count(n) -> int:
     return _integer_in(n, 1, MAX_QUBITS, "n_qubits")
 
 
-# Smallest d at which _real_valued's scan of the imaginary parts pays for itself.
+# Smallest d at which _real_valued's scan of the imaginary parts pays for
+# itself, and at which _psd_certified screens a matrix before factoring it.
 _REAL_PATH_MIN_DIM = 64
 
 
@@ -80,20 +82,20 @@ def _real_valued(m: np.ndarray) -> np.ndarray:
     """m.real if the (..., d, d) array m has d >= _REAL_PATH_MIN_DIM and no
     nonzero imaginary part (-0.0 counts as zero); otherwise m itself.
 
-    The Hermiticity pass and the PSD certificate run on what this returns,
-    so real-valued matrices (GHZ, the b-family and their P, T, H, X and I
-    images) are checked and factored in real arithmetic. Measured on a
-    2-core Xeon VM with one BLAS thread, complex -> real: the certificate
-    59 -> 37 us at d = 64 and 2.7 -> 0.75 ms at d = 256, the deviation
-    23 -> 11 us and 1.03 -> 0.17 ms. The scan of the imaginary parts, which
-    every matrix from d = 64 pays, complex ones too, costs 6 and 84 us; at
-    d = 32 it costs about what the real work saves, so smaller matrices stay
-    complex. The results
-    are the same either way: |a - b| of real-valued entries is the number
-    the complex route computes, and the certificate's bound covers a real
-    factorization (see _psd_certified), so a verdict cannot move. eigh and
-    eigvalsh stay complex, as real LAPACK rounds their printed values
-    differently.
+    A caller decides once per matrix and hands what this returns to both
+    _hermitian_deviation and _psd_certified, so real-valued matrices (GHZ,
+    the b-family and their P, T, H, X and I images) are checked and
+    certified in real arithmetic, and no matrix is scanned twice. Measured
+    on a 2-core Xeon VM with one BLAS thread, complex -> real: the
+    factorization 59 -> 37 us at d = 64 and 2.7 -> 0.75 ms at d = 256, the
+    deviation 23 -> 11 us and 1.03 -> 0.17 ms. The scan of the imaginary
+    parts, which every matrix from d = 64 pays, complex ones too, costs 6
+    and 84 us; at d = 32 it costs about what the real work saves, so smaller
+    matrices stay complex. The results are the same either way: |a - b| of
+    real-valued entries is the number the complex route computes, and the
+    certificate's bounds cover real arithmetic (see _psd_certified), so a
+    verdict cannot move. eigh and eigvalsh stay complex, as real LAPACK
+    rounds their printed values differently.
     """
     if m.shape[-1] >= _REAL_PATH_MIN_DIM and not m.imag.any():
         return m.real
@@ -101,7 +103,7 @@ def _real_valued(m: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
-    """max|A - A^H| of each matrix A of an (..., d, d) array.
+    """max|A - A^H| of each matrix A of an (..., d, d) array, as _real_valued returns it.
 
     NaN or inf for a matrix with a NaN or infinite entry, so one pass checks
     both finiteness and Hermiticity; inf also for a finite matrix whose
@@ -109,9 +111,31 @@ def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
     of an inf - inf and of that overflow are silenced, so the caller's
     ValueError is what comes out under any warning filter.
     """
-    m = _real_valued(m)
     with np.errstate(invalid="ignore", over="ignore"):
         return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+@cache
+def _lower_triangle(d: int) -> np.ndarray:
+    """np.tri(d, k=-1) as a read-only bool mask; building it costs more than its uses.
+
+    It selects the entries below the diagonal, which eigh, eigvalsh and
+    Cholesky read, and gathers np.tril_indices(d, -1)'s elements in their
+    order, in d^2 bytes, not 8 d (d - 1).
+    """
+    mask = np.tri(d, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _lemma2_values(s_aa, s_bb, s_ab) -> np.ndarray:
+    """s_aa + s_bb - 2|s_ab|, element-wise, from diagonal entries and the element (a, b).
+
+    For a Hermitian s this is twice <v|s|v> at the unit vector
+    v = (|a> - (s_ab*/|s_ab|)|b>)/sqrt(2), so half of it bounds lambda_min(s)
+    from above.
+    """
+    return (s_aa + s_bb).real - 2 * np.abs(s_ab)
 
 
 class HermitianOperator:
@@ -123,7 +147,10 @@ class HermitianOperator:
     _derived, which skips the checks their validated input already passed.
     """
 
-    __slots__ = ("matrix", "n_qubits")
+    # _real is the matrix as _real_valued returned it when __init__ checked
+    # it, kept for DensityOperator's certificate; None on a _derived
+    # operator, whose matrix was not scanned.
+    __slots__ = ("matrix", "n_qubits", "_real")
 
     def __init__(self, matrix, n_qubits: int | None = None):
         m = np.array(matrix, dtype=np.complex128, order="C")
@@ -134,16 +161,19 @@ class HermitianOperator:
         n_qubits = _qubit_count(max(dim.bit_length() - 1, 1) if n_qubits is None else n_qubits)
         if dim != 1 << n_qubits:
             raise ValueError(f"dimension {dim} is not 2^n for n >= 1 qubits")
-        dev = float(_hermitian_deviation(m))
+        # Read-only before _real_valued may take a view of it.
+        m.setflags(write=False)
+        real = _real_valued(m)
+        dev = float(_hermitian_deviation(real))
         # NaN fails the comparison too. Only a failed matrix pays for the
         # finiteness pass, as a finite deviation implies finite entries.
         if not dev <= TOL_HERM:
             if not np.isfinite(m).all():
                 raise ValueError("matrix has NaN or infinite entries")
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        m.setflags(write=False)
         self.matrix = m
         self.n_qubits = n_qubits
+        self._real = real
 
     @classmethod
     def _derived(cls, matrix: np.ndarray, n_qubits: int, source: np.ndarray) -> HermitianOperator:
@@ -162,6 +192,7 @@ class HermitianOperator:
         op = cls.__new__(cls)
         op.matrix = matrix
         op.n_qubits = n_qubits
+        op._real = None
         return op
 
     @property
@@ -175,12 +206,122 @@ class HermitianOperator:
         return f"{type(self).__name__}(n_qubits={self.n_qubits})"
 
 
+# float64's unit roundoff.
+_U = 2.0**-53
+
+
+def _gamma(d: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) at k = 4(d + 1), the certificate's rounding factor."""
+    k = 4 * (d + 1)
+    return k * _U / (1 - k * _U)
+
+
 def _psd_certified(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """True only if a shifted Cholesky proves lambda_min >= -3*tol/4.
+    """True only if lambda_min >= -3*tol/4 is proven.
 
     Takes one (d, d) matrix or an (..., d, d) stack and returns one numpy
-    bool per matrix (a 0-d bool for a single matrix). Factors A + (tol/2) I,
-    reading the lower triangle as eigh and eigvalsh do. A computed factor R
+    bool per matrix (a 0-d bool for a single matrix). A is the Hermitian
+    matrix its lower triangle defines, as eigh and eigvalsh read it; pass
+    the matrix as _real_valued returns it, so a real-valued one is screened
+    and factored in real arithmetic. False says nothing about the sign of
+    lambda_min: the caller then runs its exact eigensolver path. A shift
+    tol/2 that is not > 0 (tol = 0 among them) gives False.
+
+    From d = _REAL_PATH_MIN_DIM two screens run first, in this order, on
+    each matrix alone; where neither decides, and for every smaller d, the
+    shifted Cholesky of _factored decides. The open matrices of a stack are
+    factored together, so a stack gets exactly the answers its matrices get
+    one by one. The bounds hold in float64's standard model (unit roundoff
+    u = 2^-53, no underflow). A NaN or inf entry on or below the diagonal
+    never gives True: each test it enters fails, and the factorization
+    declines it.
+
+    1. Probe, O(d): False where an antidiagonal pair (lz's pairs a > b =
+       d - 1 - a) proves lambda_min < -tol. v = Re a_aa + Re a_bb - 2|a_ab|
+       (_lemma2_values) is twice the Rayleigh quotient of a unit vector on
+       |a> and |b>, so lambda_min <= v/2. With |a_ab| rounded within 2u (one
+       ulp) and two further roundings, |v^ - v| <= u (1 + 2u) |v^| +
+       u |Re a_aa + Re a_bb| + 4u |a_ab|; as |Re a_aa + Re a_bb| <= 2D, with
+       D = max_i |Re a_ii|, and 2|a_ab| <= 2D + |v|, that is at most
+       4u (|v^| + 2D). So for v^ < 0, v <= v^ (1 - 4u) + 8uD, and the test
+       v^ (1 - 8u) + 16uD < -2 tol, whose constants are doubled to cover its
+       own two roundings, proves lambda_min < -tol. The steps after it only
+       certify lambda_min >= -3 tol/4, so they would have declined too: the
+       probe moves no answer, it skips a factorization bound to fail. The
+       P, T and H images of GHZ states stop here.
+    2. Gershgorin, O(d), then O(d^2): True where lambda_min >= min_i
+       (Re a_ii - R_i), R_i = sum_{j<i} |a_ij| + sum_{j>i} |a_ji|, proves
+       lambda_min >= -3 tol/4. The row with the smallest diagonal entry is
+       tried first; if it alone falls below -3 tol/4 (up to its rounding;
+       the factorization is sound either way), the factorization decides
+       without the O(d^2) pass. Otherwise every R_i is summed from one d x d
+       float array that holds |a_ij| below the diagonal and zeros elsewhere.
+       Each |a_ij| is within 2u, each of the two sums of d nonnegative terms
+       within gamma_d in any order of addition, and their sum within u, so
+       R_i <= (1 + gamma_{2(d+3)}) R^_i. The test min_i (Re a_ii - R^_i -
+       gamma (|Re a_ii| + R^_i)) >= -3 tol/4 with gamma = gamma_{4(d+1)},
+       the factorization's own factor, therefore proves the floor; its
+       excess over gamma_{2(d+3)}, at least 126u from d = 64, covers the
+       rounding of forming and comparing the test. Diagonally dominant
+       matrices, GHZ states among them, are certified here.
+    """
+    batch, d = matrix.shape[:-2], matrix.shape[-1]
+    shift = tol / 2
+    if not shift > 0:
+        return np.zeros(batch, dtype=bool)
+    if d < _REAL_PATH_MIN_DIM:
+        return _factored(matrix, shift)
+    if not batch:
+        screened = _screened(matrix, tol)
+        return _factored(matrix, shift) if screened is None else np.bool_(screened)
+    flat = matrix.reshape(-1, d, d)
+    screened = [_screened(m, tol) for m in flat]
+    certified = np.array([s is True for s in screened], dtype=bool)
+    undecided = np.array([s is None for s in screened], dtype=bool)
+    if undecided.any():
+        certified[undecided] = _factored(flat[undecided], shift)
+    return certified.reshape(batch)
+
+
+def _screened(m: np.ndarray, tol: float) -> bool | None:
+    """_psd_certified's probe and Gershgorin screens on one (d, d) matrix.
+
+    False where the probe proves lambda_min < -tol, True where Gershgorin's
+    bound proves lambda_min >= -3*tol/4, and None where neither decides.
+    numpy's warnings of an inf - inf or an overflow are silenced: the inf or
+    NaN they leave fails the tests it enters.
+    """
+    d = m.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag = m.diagonal().real
+        # lz's pairs a = d - 1 - k > b = k for k < d/2, read through views:
+        # the row-reversed matrix's diagonal holds a_ab.
+        h = d // 2
+        low = float(_lemma2_values(diag[:h], diag[: h - 1 : -1], m[::-1].diagonal()[:h]).min())
+        # The test below can only hold when this does; PSD matrices stop here.
+        if -np.inf < low < -2 * tol:
+            top = float(np.abs(diag).max())
+            if low * (1 - 8 * _U) + 16 * _U * top < -2 * tol:
+                return False
+        floor = -0.75 * tol
+        i = int(diag.argmin())
+        if not diag[i] - np.abs(m[i, :i]).sum() - np.abs(m[i + 1 :, i]).sum() >= floor:
+            return None
+        lower = np.zeros((d, d))
+        np.abs(m, out=lower, where=_lower_triangle(d))
+        # Row and column sums as matrix-vector products, which BLAS does
+        # faster than two reductions.
+        ones = np.ones(d)
+        radius = lower @ ones + ones @ lower
+        bound = diag - radius - _gamma(d) * (np.abs(diag) + radius)
+        return True if bound.min() >= floor else None
+
+
+def _factored(matrix: np.ndarray, shift: float) -> np.ndarray:
+    """True only if a Cholesky factorization of A + shift I proves lambda_min >= -3*shift/2.
+
+    Takes one (d, d) matrix or an (..., d, d) stack, with shift = tol/2 > 0,
+    and reads the lower triangle as eigh and eigvalsh do. A computed factor R
     satisfies R*R = A + (tol/2) I + E with |E| <= gamma |R*||R| (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3), plus
     the rounding of the shifted diagonal, so lambda_min(A) >= -tol/2 - err
@@ -192,16 +333,10 @@ def _psd_certified(matrix: np.ndarray, tol: float) -> np.ndarray:
     The certificate is given when err <= tol/4. ||R||_F^2 is about trace(A),
     which is at least ||A||_2 for a matrix that factors, so the bound holds
     only where tol/4 exceeds eigh's own error, and eigh would also find
-    lambda_min >= -tol. A failed factorization, a failed bound, a NaN and a
-    shift that is not > 0 (tol = 0 among them) all give False: the caller
-    then runs its exact eigensolver path. False says nothing about the sign
-    of lambda_min.
+    lambda_min >= -tol. A failed factorization, a failed bound and a NaN
+    all give False.
     """
     batch, d = matrix.shape[:-2], matrix.shape[-1]
-    shift = tol / 2
-    if not shift > 0:
-        return np.zeros(batch, dtype=bool)
-    matrix = _real_valued(matrix)
     shifted = matrix.copy()
     shifted.reshape(*batch, d * d)[..., :: d + 1] += shift
     try:
@@ -210,24 +345,24 @@ def _psd_certified(matrix: np.ndarray, tol: float) -> np.ndarray:
         # numpy raises for the whole stack when one matrix does not factor.
         if not batch:
             return np.False_
-        flat = [_psd_certified(m, tol) for m in matrix.reshape(-1, d, d)]
+        flat = [_factored(m, shift) for m in matrix.reshape(-1, d, d)]
         return np.array(flat, dtype=bool).reshape(batch)
     r = r.reshape(*batch, d * d)
     diag = np.abs(matrix.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
-    u = 2.0**-53  # float64's unit roundoff
-    k = 4 * (d + 1)
-    gamma = k * u / (1 - k * u)
-    return gamma * np.vecdot(r, r).real + u * (diag + shift) <= tol / 4
+    return _gamma(d) * np.vecdot(r, r).real + _U * (diag + shift) <= shift / 2
 
 
 class DensityOperator(HermitianOperator):
     """A HermitianOperator additionally validated trace-one and PSD.
 
-    The PSD check is certified by a shifted Cholesky when it can be, and
-    otherwise decided by the minimum eigenvalue against -TOL_PSD. Given a
-    HermitianOperator and no qubit count or its own, it shares that
-    operator's read-only matrix, with no copy and no second Hermiticity
-    check; under another count its matrix fails the dimension check.
+    The PSD check is certified by _psd_certified (from d = 64 its screens,
+    then a shifted Cholesky) when it can be, and otherwise decided by the
+    minimum eigenvalue against -TOL_PSD. The certificate runs on the view
+    the Hermiticity check ran on, so the imaginary parts are scanned once.
+    Given a HermitianOperator and no qubit count or its own, it shares that
+    operator's read-only matrix and view, with no copy, no second
+    Hermiticity check and no second scan; under another count its matrix
+    fails the dimension check.
     """
 
     __slots__ = ()
@@ -237,12 +372,13 @@ class DensityOperator(HermitianOperator):
             super().__init__(matrix, n_qubits)
         elif n_qubits is None or _qubit_count(n_qubits) == matrix.n_qubits:
             self.matrix, self.n_qubits = matrix.matrix, matrix.n_qubits
+            self._real = _real_valued(self.matrix) if matrix._real is None else matrix._real
         else:
             super().__init__(matrix.matrix, n_qubits)
         tr = self.trace()
         if abs(tr - 1.0) > TOL_TRACE:
             raise ValueError(f"trace {tr!r} is not 1 within {TOL_TRACE}")
-        if _psd_certified(self.matrix, TOL_PSD):
+        if _psd_certified(self._real, TOL_PSD):
             return
         lo = float(np.linalg.eigvalsh(self.matrix)[0])
         if lo < -TOL_PSD:
@@ -259,10 +395,11 @@ def _validate_density_stack(stack: np.ndarray) -> None:
     ValueError, so the first rejected matrix of the stack raises what it
     would raise alone.
     """
+    real = _real_valued(stack)
     tr = stack.trace(axis1=-2, axis2=-1).real
     # NaN fails both comparisons, so a non-finite matrix is never settled.
-    settled = (_hermitian_deviation(stack) <= TOL_HERM) & (np.abs(tr - 1.0) <= TOL_TRACE)
-    settled[settled] = _psd_certified(stack[settled], TOL_PSD)
+    settled = (_hermitian_deviation(real) <= TOL_HERM) & (np.abs(tr - 1.0) <= TOL_TRACE)
+    settled[settled] = _psd_certified(real[settled], TOL_PSD)
     for matrix in stack[~settled]:
         DensityOperator(matrix)
 

@@ -25,7 +25,6 @@ import numpy as np
 from .criteria import (
     Verdict,
     _lemma1_holds,
-    _lemma2_values,
     _stack_best_margins,
     _violates,
     equal_argument_check,
@@ -37,6 +36,7 @@ from .linalg import (
     TOL_PSD,
     HermitianOperator,
     _bloch_matrix,
+    _lemma2_values,
     _validate_density_stack,
     bloch_from_density,
     min_eigenvalue,
@@ -301,9 +301,11 @@ def check_lemmas(h: Harness) -> None:
     for rho, k in zip(kept, c_ab.argmax(axis=1).tolist()):
         if not lemma1_bound_check(rho, a[k], b[k]):
             spot_failures += 1
-    # lemma2_witness_value's formula at every off-diagonal pair with s_ab != 0.
+    # lemma2_witness_value's formula at every off-diagonal pair with s_ab != 0,
+    # from the real diagonal and |s_ab|, which give its values bit for bit.
     nonzero = s_ab != 0
-    value = _lemma2_values(mapped, a, b)[nonzero]
+    diag = mapped.diagonal(axis1=1, axis2=2).real
+    value = _lemma2_values(diag[:, a], diag[:, b], s_ab)[nonzero]
     closed = 2 * (0.5**n - s_ab[nonzero])
     value_dev = float(np.abs(value - closed).max(initial=0.0))
     sign_mismatches = int(np.count_nonzero((value < 0) != (s_ab[nonzero] > 0.5**n)))

@@ -404,6 +404,34 @@ def test_map_negativity_decisions_match_the_eigensolver():
     assert certified == seen[Verdict.INCONCLUSIVE], (certified, seen)
 
 
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_ghz_and_its_images_take_no_factorization(monkeypatch, n):
+    # GHZ is settled by Gershgorin's bound and its P, T and H images by the
+    # antidiagonal probe, so no Cholesky runs; eigh still gives the witness.
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    rho = ghz(n)
+    specs = (
+        MapSpec.all_qubits(n, MapKind.P),
+        MapSpec.single(1, MapKind.P),
+        MapSpec.single(n, MapKind.T),
+        MapSpec.single(2, MapKind.H),
+    )
+    for spec in specs:
+        report = map_negativity_check(rho, spec)
+        w, v = np.linalg.eigh(apply_product(rho, spec).matrix)
+        assert report.verdict is Verdict.INSEPARABLE
+        assert report.witness.min_eigenvalue == float(w[0])
+        assert report.witness.eigenvector.tobytes() == v[:, 0].tobytes()
+    assert calls == []
+
+
 # ---------------------------------------------------------------- lemma 2
 
 def test_lemma2_on_fully_mapped_bell():

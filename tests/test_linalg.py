@@ -139,6 +139,26 @@ def test_density_operator_shares_an_operator_of_its_own_count():
         DensityOperator(op, 2)
 
 
+def test_density_operator_scans_imaginary_parts_once(monkeypatch):
+    # The Hermiticity check and the PSD certificate share one _real_valued
+    # view; only an operator that no check scanned is scanned again.
+    calls = []
+    real_valued = linalg._real_valued
+
+    def counting(m):
+        calls.append(m.shape)
+        return real_valued(m)
+
+    monkeypatch.setattr(linalg, "_real_valued", counting)
+    rho = random_multiseparable(6, 4, 1)
+    assert calls == [(64, 64)]
+    DensityOperator(rho)
+    DensityOperator(HermitianOperator(rho.matrix))
+    assert calls == [(64, 64)] * 2
+    DensityOperator(apply_product(rho, MapSpec.single(1, MapKind.IDENTITY)))
+    assert calls == [(64, 64)] * 3
+
+
 def test_bloch_vector_ball_invariant():
     BlochVector(0.3, -0.3, 0.2)
     nan = float("nan")
@@ -258,15 +278,21 @@ BOUNDARY = (
 )
 
 
-def planted_spectrum(rng, d, low, real=False):
+def planted_spectrum(rng, d, low, real=False, spread=None):
     """Hermitian trace-one Q diag(lam) Q* whose smallest eigenvalue is low.
 
     With real=True, Q is orthogonal, so the complex128 matrix is real-valued.
+    With a spread, Q is the unitary factor of I + spread * G, rephased to lie
+    within about spread of I, so the matrix is diagonally dominant.
     """
     g = rng.standard_normal((d, d))
     if not real:
         g = g + 1j * rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(g)
+    if spread is None:
+        q, _ = np.linalg.qr(g)
+    else:
+        q, r = np.linalg.qr(np.eye(d) + spread * g)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
     lam = rng.uniform(0.5, 1.5, d)
     lam[0] = 0.0
     lam *= (1 - low) / lam.sum()
@@ -318,20 +344,31 @@ def test_psd_certificate_declines_without_a_positive_shift(tol):
 
 
 def test_psd_certificate_reads_the_lower_triangle():
-    # eigh and eigvalsh read the lower triangle; the factorization must too.
-    m = np.eye(4, dtype=complex) / 4
-    m[0, 3] = 10.0
-    assert _psd_certified(m, TOL_PSD)
-    m = np.eye(4, dtype=complex) / 4
-    m[3, 0] = 10.0
-    assert np.linalg.eigvalsh(m)[0] < 0
-    assert not _psd_certified(m, TOL_PSD)
+    # eigh and eigvalsh read the lower triangle; the factorization must too,
+    # and from d = 64 so must the probe (an antidiagonal pair) and the
+    # Gershgorin bound (any other pair).
+    for d, low, high in ((4, 3, 0), (64, 63, 0), (64, 5, 3)):
+        m = np.eye(d, dtype=complex) / d
+        m[high, low] = 10.0
+        assert _psd_certified(m, TOL_PSD), (d, low, high)
+        m = np.eye(d, dtype=complex) / d
+        m[low, high] = 10.0
+        assert np.linalg.eigvalsh(m)[0] < 0
+        assert not _psd_certified(m, TOL_PSD), (d, low, high)
 
 
 def test_psd_certificate_declines_nan():
-    m = np.eye(2) / 2
-    m[1, 1] = np.nan
-    assert not _psd_certified(m, TOL_PSD)
+    # Each non-finite entry is declined by the factorization below d = 64
+    # and by the screens and then the factorization from d = 64, with no
+    # numpy warning (pytest makes one an error): on the diagonal, on the
+    # antidiagonal and elsewhere below it.
+    for d in (2, 64):
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in ((1, 1), (d - 1, 0), (d - 1, d // 2 - 1)):
+                m = np.eye(d) / d
+                m[where] = bad
+                assert not _psd_certified(m, TOL_PSD), (d, bad, where)
+                assert not _psd_certified(np.stack([np.eye(d) / d, m]), TOL_PSD)[1]
 
 
 def _bad_density(kind, rng, d):
@@ -442,14 +479,105 @@ COMPLEX_ONLY = 1 << (MAX_QUBITS + 1)
 @pytest.mark.parametrize("d", [64, 128])
 @pytest.mark.parametrize("tol", [TOL_PSD, 1e-6, 1e-3])
 def test_real_valued_certificate_at_any_tol(monkeypatch, d, tol):
-    # From d = 64 a real-valued matrix is factored in real arithmetic; it is
-    # certified exactly where the complex factorization certifies it.
+    # From d = 64 a real-valued matrix, as _real_valued hands it on, is
+    # factored in real arithmetic; it is certified exactly where the complex
+    # factorization certifies it.
     rng = np.random.default_rng(d)
     stack = np.stack([planted_spectrum(rng, d, low, real=True) for low in certificate_lows(tol)])
-    assert [_psd_certified(m, tol) for m in stack] == CERTIFIED_LOWS
-    assert _psd_certified(stack, tol).tolist() == CERTIFIED_LOWS
+    assert linalg._real_valued(stack).dtype == np.float64
+    assert [_psd_certified(linalg._real_valued(m), tol) for m in stack] == CERTIFIED_LOWS
+    assert _psd_certified(linalg._real_valued(stack), tol).tolist() == CERTIFIED_LOWS
     monkeypatch.setattr(linalg, "_REAL_PATH_MIN_DIM", COMPLEX_ONLY)
-    assert [_psd_certified(m, tol) for m in stack] == CERTIFIED_LOWS
+    assert [_psd_certified(linalg._real_valued(m), tol) for m in stack] == CERTIFIED_LOWS
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("d", [64, 128, 256])
+@pytest.mark.parametrize("tol", [TOL_PSD, 1e-6, 1e-3])
+def test_gershgorin_certificate_of_diagonally_dominant_spectra(monkeypatch, tol, d, real):
+    # Off-diagonal entries near 1e-3 tol / d leave the Gershgorin bound
+    # within a small part of tol of lambda_min, so the screen certifies
+    # exactly the planted lambda_min above the floor -3*tol/4, with no
+    # factorization, and nothing below it: -0.7 tol, which the shifted
+    # factorization cannot certify, is certified here.
+    rng = np.random.default_rng(d + real)
+    stack = np.stack([planted_spectrum(rng, d, low, real, spread=1e-3 * tol) for low in certificate_lows(tol)])
+    if real:
+        stack = linalg._real_valued(stack)
+        assert stack.dtype == np.float64
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    floor = -0.75 * tol
+    for low, m in zip(certificate_lows(tol), stack):
+        del calls[:]
+        certified = _psd_certified(m, tol)
+        assert certified == (low > floor), (low, float(np.linalg.eigvalsh(m)[0]))
+        assert calls == ([] if certified else [(d, d)])
+    assert _psd_certified(stack, tol).tolist() == [low > floor for low in certificate_lows(tol)]
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+@pytest.mark.parametrize("tol", [TOL_PSD, 1e-6, 1e-3])
+def test_antidiagonal_pair_is_settled_by_a_screen_on_either_side(monkeypatch, tol, phase):
+    # The 2x2 block on the pair (63, 0), with 1/4 on its diagonal, has
+    # eigenvalue low; the rest of the diagonal is 1/124. Gershgorin's bound is
+    # min(low, 1/124) up to rounding, so it certifies above the floor
+    # -3*tol/4; the probe's v/2 is low, so it declines below -tol with no
+    # factorization; only the lows in between are factored.
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    for low in certificate_lows(tol):
+        m = np.diag(np.full(64, 0.5 / 62)).astype(complex)
+        m[0, 0] = m[63, 63] = 0.25
+        m[63, 0] = (0.25 - low) * phase
+        m[0, 63] = np.conj(m[63, 0])
+        assert abs(np.linalg.eigvalsh(m)[0] - min(low, 0.5 / 62)) < 1e-15
+        if phase == 1.0:
+            m = linalg._real_valued(m)
+        del calls[:]
+        certified = _psd_certified(m, tol)
+        assert certified == (low > -0.75 * tol), low
+        assert calls == ([] if certified or low < -tol else [(64, 64)]), low
+
+
+def test_stack_of_screened_and_factored_matrices_is_certified_per_matrix(monkeypatch):
+    # At d = 64: GHZ is certified by Gershgorin's bound, its all:P image
+    # fails the probe, and a product mixture and a matrix at lambda_min =
+    # -0.9 TOL_PSD reach the factorization, where only the first factors.
+    rng = np.random.default_rng(64)
+    stack = np.stack([
+        ghz(6).matrix,
+        apply_product(ghz(6), MapSpec.all_qubits(6, MapKind.P)).matrix,
+        random_multiseparable(6, 4, 1).matrix,
+        planted_spectrum(rng, 64, -0.9 * TOL_PSD),
+    ])
+    expected = [_psd_certified(m, TOL_PSD) for m in stack]
+    assert expected == [True, False, True, False]
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    assert _psd_certified(stack, TOL_PSD).tolist() == expected
+    assert _psd_certified(stack.reshape(2, 2, 64, 64), TOL_PSD).tolist() == [expected[:2], expected[2:]]
+    # Each stack factors its two open matrices together, then one by one
+    # when numpy refuses the pair.
+    assert calls == [(2, 64, 64), (64, 64), (64, 64)] * 2
 
 
 def test_real_valued_takes_a_zero_imaginary_part_from_d_64():
@@ -464,9 +592,12 @@ def test_real_valued_takes_a_zero_imaginary_part_from_d_64():
 
 @pytest.mark.parametrize(
     "family, n, dtype",
-    [("ghz", 6, np.float64), ("ghz", 8, np.float64), ("random-msep", 6, np.complex128), ("ghz", 5, np.complex128)],
+    [("xz", 6, np.float64), ("xz", 8, np.float64), ("random-msep", 6, np.complex128), ("ghz", 5, np.complex128)],
 )
 def test_certificate_factors_real_valued_images_from_d_64_in_real_arithmetic(monkeypatch, family, n, dtype):
+    # xz is a product state with Bloch vectors in the xz plane: real-valued,
+    # and neither it nor its all:P image is settled by a screen. GHZ from
+    # d = 64 is, so its d = 32 case alone is factored, in complex arithmetic.
     seen = []
     cholesky = np.linalg.cholesky
 
@@ -475,7 +606,11 @@ def test_certificate_factors_real_valued_images_from_d_64_in_real_arithmetic(mon
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", recording)
-    rho = ghz(n) if family == "ghz" else random_multiseparable(n, 4, 1)
+    rho = {
+        "xz": lambda: product_state([(0.2, 0.0, 0.3)] * n),
+        "ghz": lambda: ghz(n),
+        "random-msep": lambda: random_multiseparable(n, 4, 1),
+    }[family]()
     map_negativity_check(rho, MapSpec.all_qubits(n, MapKind.P))
     assert len(seen) == 2 and set(seen) == {np.dtype(dtype)}
 
