@@ -23,7 +23,6 @@ from .linalg import (
     _lemma2_values,
     _lower_triangle,
     _psd_certified,
-    _real_valued,
     hamming,
 )
 from .maps import MapKind, MapSpec, apply_product
@@ -224,7 +223,7 @@ def map_negativity_check(
     if not (tol >= TOL_PSD and math.isfinite(tol)):
         raise ValueError(f"tolerance must be finite and >= {TOL_PSD!r}, got {tol!r}")
     sigma = apply_product(rho, spec)
-    if not _psd_certified(_real_valued(sigma.matrix), tol):
+    if not _psd_certified(sigma._real, tol):
         w, v = np.linalg.eigh(sigma.matrix)
         if w[0] < -tol:
             witness = EigenvalueWitness(min_eigenvalue=float(w[0]), eigenvector=v[:, 0].copy())

@@ -82,28 +82,30 @@ def _real_valued(m: np.ndarray) -> np.ndarray:
     """m.real if the (..., d, d) array m has d >= _REAL_PATH_MIN_DIM and no
     nonzero imaginary part (-0.0 counts as zero); otherwise m itself.
 
-    A caller decides once per matrix and hands what this returns to both
-    _hermitian_deviation and _psd_certified, so real-valued matrices (GHZ,
-    the b-family and their P, T, H, X and I images) are checked and
-    certified in real arithmetic, and no matrix is scanned twice. Measured
-    on a 2-core Xeon VM with one BLAS thread, complex -> real: the
-    factorization 59 -> 37 us at d = 64 and 2.7 -> 0.75 ms at d = 256, the
-    deviation 23 -> 11 us and 1.03 -> 0.17 ms. The scan of the imaginary
-    parts, which every matrix from d = 64 pays, complex ones too, costs 6
-    and 84 us; at d = 32 it costs about what the real work saves, so smaller
-    matrices stay complex. The results are the same either way: |a - b| of
-    real-valued entries is the number the complex route computes, and the
-    certificate's bounds cover real arithmetic (see _psd_certified), so a
-    verdict cannot move. eigh and eigvalsh stay complex, as real LAPACK
-    rounds their printed values differently.
+    Called only where a matrix enters the library (HermitianOperator and
+    _validate_density_stack), which keep the result as the view that
+    _hermitian_deviation and _psd_certified read; map images inherit it
+    (see HermitianOperator._derived). So real-valued matrices (GHZ, the
+    b-family and their images) are checked and certified in real arithmetic
+    and no matrix is scanned twice. Measured on a 2-core Xeon VM with one
+    BLAS thread, complex -> real: the factorization 59 -> 37 us at d = 64
+    and 2.7 -> 0.75 ms at d = 256, the deviation 23 -> 11 us and 1.03 ->
+    0.17 ms. The full scan costs 6 and 84 us (58 and 243 us at d = 256 and
+    512 for a complex one); row 0, read first, settles most complex matrices
+    in 1.6-1.8 us. At d = 32 the scan costs about what the real work saves,
+    so smaller matrices stay complex. The results are the same either
+    way: |a - b| of real-valued entries is the number the complex route
+    computes, and the certificate's bounds cover real arithmetic (see
+    _psd_certified), so a verdict cannot move. eigh and eigvalsh stay
+    complex, as real LAPACK rounds their printed values differently.
     """
-    if m.shape[-1] >= _REAL_PATH_MIN_DIM and not m.imag.any():
+    if m.shape[-1] >= _REAL_PATH_MIN_DIM and not m[..., :1, :].imag.any() and not m.imag.any():
         return m.real
     return m
 
 
 def _hermitian_deviation(m: np.ndarray) -> np.ndarray:
-    """max|A - A^H| of each matrix A of an (..., d, d) array, as _real_valued returns it.
+    """max|A - A^H| of each matrix A of an (..., d, d) array or its real view.
 
     NaN or inf for a matrix with a NaN or infinite entry, so one pass checks
     both finiteness and Hermiticity; inf also for a finite matrix whose
@@ -147,9 +149,8 @@ class HermitianOperator:
     _derived, which skips the checks their validated input already passed.
     """
 
-    # _real is the matrix as _real_valued returned it when __init__ checked
-    # it, kept for DensityOperator's certificate; None on a _derived
-    # operator, whose matrix was not scanned.
+    # _real is the view the checks and the certificate read, as _real_valued
+    # returned it in __init__ or as _derived inherited it; never None.
     __slots__ = ("matrix", "n_qubits", "_real")
 
     def __init__(self, matrix, n_qubits: int | None = None):
@@ -176,23 +177,25 @@ class HermitianOperator:
         self._real = real
 
     @classmethod
-    def _derived(cls, matrix: np.ndarray, n_qubits: int, source: np.ndarray) -> HermitianOperator:
-        """Wrap a complex128 matrix derived from a validated ``source``, unchecked.
+    def _derived(cls, matrix: np.ndarray, source: HermitianOperator) -> HermitianOperator:
+        """Wrap a complex128 matrix derived from a validated ``source`` operator, unchecked.
 
-        Skips __init__: no shape, finiteness or Hermiticity pass. The caller
-        vouches that ``matrix`` is d x d for its ``n_qubits`` and no further
-        from Hermitian than the checked ``source`` it came from. The matrix
-        is stored as is when it is C-contiguous and its memory is its own,
-        and copied when it is strided or may share memory with ``source``,
-        so the stored array is always a fresh, read-only, C-contiguous one.
+        Skips __init__ and its scans. The caller vouches that ``matrix`` has
+        the source's shape, is no further from Hermitian, and is real-valued
+        if the source is: P, T, H, X and I never make an imaginary part from
+        real entries. So ``_real`` is ``matrix.real`` where the source's is a
+        real view, else the matrix (complex arithmetic is as sound). The
+        matrix is copied (before .real is taken) when it is strided or may
+        share memory with the source, so it is always fresh, read-only and
+        C-contiguous.
         """
-        if not matrix.flags.c_contiguous or np.may_share_memory(matrix, source):
+        if not matrix.flags.c_contiguous or np.may_share_memory(matrix, source.matrix):
             matrix = matrix.copy()
         matrix.setflags(write=False)
         op = cls.__new__(cls)
         op.matrix = matrix
-        op.n_qubits = n_qubits
-        op._real = None
+        op.n_qubits = source.n_qubits
+        op._real = matrix if source._real is source.matrix else matrix.real
         return op
 
     @property
@@ -221,11 +224,11 @@ def _psd_certified(matrix: np.ndarray, tol: float) -> np.ndarray:
 
     Takes one (d, d) matrix or an (..., d, d) stack and returns one numpy
     bool per matrix (a 0-d bool for a single matrix). A is the Hermitian
-    matrix its lower triangle defines, as eigh and eigvalsh read it; pass
-    the matrix as _real_valued returns it, so a real-valued one is screened
-    and factored in real arithmetic. False says nothing about the sign of
-    lambda_min: the caller then runs its exact eigensolver path. A shift
-    tol/2 that is not > 0 (tol = 0 among them) gives False.
+    matrix its lower triangle defines, as eigh and eigvalsh read it; callers
+    pass an operator's _real view, so a real-valued matrix, input or map
+    image, is screened and factored in real arithmetic. False says nothing
+    about the sign of lambda_min: the caller then runs its exact eigensolver
+    path. A shift tol/2 that is not > 0 (tol = 0 among them) gives False.
 
     From d = _REAL_PATH_MIN_DIM two screens run first, in this order, on
     each matrix alone; where neither decides, and for every smaller d, the
@@ -357,12 +360,11 @@ class DensityOperator(HermitianOperator):
 
     The PSD check is certified by _psd_certified (from d = 64 its screens,
     then a shifted Cholesky) when it can be, and otherwise decided by the
-    minimum eigenvalue against -TOL_PSD. The certificate runs on the view
-    the Hermiticity check ran on, so the imaginary parts are scanned once.
-    Given a HermitianOperator and no qubit count or its own, it shares that
-    operator's read-only matrix and view, with no copy, no second
-    Hermiticity check and no second scan; under another count its matrix
-    fails the dimension check.
+    minimum eigenvalue against -TOL_PSD. The certificate reads the
+    operator's _real view, so no matrix is scanned here. Given a
+    HermitianOperator and no qubit count or its own, it shares that
+    operator's read-only matrix and view, with no copy and no second check;
+    under another count its matrix fails the dimension check.
     """
 
     __slots__ = ()
@@ -371,8 +373,7 @@ class DensityOperator(HermitianOperator):
         if not isinstance(matrix, HermitianOperator):
             super().__init__(matrix, n_qubits)
         elif n_qubits is None or _qubit_count(n_qubits) == matrix.n_qubits:
-            self.matrix, self.n_qubits = matrix.matrix, matrix.n_qubits
-            self._real = _real_valued(self.matrix) if matrix._real is None else matrix._real
+            self.matrix, self.n_qubits, self._real = matrix.matrix, matrix.n_qubits, matrix._real
         else:
             super().__init__(matrix.matrix, n_qubits)
         tr = self.trace()
@@ -380,7 +381,7 @@ class DensityOperator(HermitianOperator):
             raise ValueError(f"trace {tr!r} is not 1 within {TOL_TRACE}")
         if _psd_certified(self._real, TOL_PSD):
             return
-        lo = float(np.linalg.eigvalsh(self.matrix)[0])
+        lo = min_eigenvalue(self)
         if lo < -TOL_PSD:
             raise ValueError(f"minimum eigenvalue {lo:.3e} is below -{TOL_PSD}")
 

@@ -105,7 +105,7 @@ def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
     _require_operator(sigma)
     if sigma.n_qubits != 1:
         raise ValueError("map is defined on a single qubit (2x2 input)")
-    return HermitianOperator._derived(_p2(sigma.matrix), 1, sigma.matrix)
+    return HermitianOperator._derived(_p2(sigma.matrix), sigma)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def apply_on_qubit(rho: HermitianOperator, k: int, kind: MapKind) -> HermitianOp
     n, k = _operator_and_qubit(rho, k)
     # The T, X and I results may be views of rho's matrix; _derived copies
     # those, and keeps a fresh kernel output as it is.
-    return HermitianOperator._derived(_map_qubit(rho.matrix, n, k, kind), n, rho.matrix)
+    return HermitianOperator._derived(_map_qubit(rho.matrix, n, k, kind), rho)
 
 
 def _dense_map_qubit(ms: np.ndarray, n: int, k: int, kind: MapKind) -> np.ndarray:

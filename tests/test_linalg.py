@@ -15,10 +15,10 @@ from insep import (
     min_eigenvalue,
     tensor,
 )
-from insep import linalg
+from insep import criteria, linalg, maps
 from insep.criteria import Verdict, map_negativity_check
 from insep.linalg import _psd_certified, _validate_density_stack
-from insep.maps import MapKind, MapSpec, apply_product
+from insep.maps import MapKind, MapSpec, apply_on_qubit, apply_product, lambda_p
 from insep.states import ghz, product_state, random_multiseparable
 
 # The dimension from which linalg checks real-valued matrices in real arithmetic.
@@ -140,8 +140,9 @@ def test_density_operator_shares_an_operator_of_its_own_count():
 
 
 def test_density_operator_scans_imaginary_parts_once(monkeypatch):
-    # The Hermiticity check and the PSD certificate share one _real_valued
-    # view; only an operator that no check scanned is scanned again.
+    # Each matrix or stack is scanned once, where it enters the library
+    # (HermitianOperator, _validate_density_stack); DensityOperator, the
+    # maps and the map check read the view it kept or inherited.
     calls = []
     real_valued = linalg._real_valued
 
@@ -150,13 +151,26 @@ def test_density_operator_scans_imaginary_parts_once(monkeypatch):
         return real_valued(m)
 
     monkeypatch.setattr(linalg, "_real_valued", counting)
+    assert not hasattr(criteria, "_real_valued") and not hasattr(maps, "_real_valued")
     rho = random_multiseparable(6, 4, 1)
     assert calls == [(64, 64)]
     DensityOperator(rho)
     DensityOperator(HermitianOperator(rho.matrix))
     assert calls == [(64, 64)] * 2
     DensityOperator(apply_product(rho, MapSpec.single(1, MapKind.IDENTITY)))
-    assert calls == [(64, 64)] * 3
+    assert calls == [(64, 64)] * 2
+    _validate_density_stack(np.stack([rho.matrix, ghz(6).matrix]))
+    assert calls == [(64, 64)] * 3 + [(2, 64, 64)]
+    g, qubit = ghz(6), HermitianOperator(np.eye(2) / 2)
+    calls.clear()
+    for kind in MapKind:
+        # Every map keeps a product mixture PSD, so its images are states.
+        DensityOperator(apply_on_qubit(rho, 2, kind))
+        apply_on_qubit(g, 2, kind)
+        for source in (rho, g):
+            map_negativity_check(source, MapSpec.all_qubits(6, kind))
+    lambda_p(qubit)
+    assert calls == []
 
 
 def test_bloch_vector_ball_invariant():
@@ -588,6 +602,15 @@ def test_real_valued_takes_a_zero_imaginary_part_from_d_64():
     assert linalg._real_valued(m[:32, :32]).dtype == np.complex128
     m.imag[0, 1] = 5e-324
     assert linalg._real_valued(m) is m
+    # Row 0 is read before the rest; either row alone keeps a matrix, and
+    # a stack holding it, complex.
+    for row in (0, 63):
+        c = np.eye(64, dtype=complex) / 64
+        c.imag[row, 1 - row % 2] = 1e-300
+        stack = np.stack([np.eye(64, dtype=complex) / 64, c])
+        assert linalg._real_valued(c) is c
+        assert linalg._real_valued(stack) is stack
+        assert linalg._real_valued(stack[:1]).dtype == np.float64
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,18 @@ from insep import (
 )
 from insep.cli import serialize_operator
 from insep.criteria import Verdict, map_negativity_check
-from insep.linalg import TOL_HERM
+from insep.linalg import TOL_HERM, TOL_PSD, _psd_certified, _real_valued
 from insep.maps import _ON_2X2, _dense_map_qubit, _map_qubit
-from insep.states import ghz, isotropic, product_state, pure_superposition, random_bloch, mixture_rng
+from insep.states import (
+    ghz,
+    horodecki_b,
+    isotropic,
+    mixture_rng,
+    product_state,
+    pure_superposition,
+    random_bloch,
+    random_multiseparable,
+)
 
 
 def random_hermitian(rng, dim):
@@ -218,6 +227,24 @@ def test_map_outputs_are_wrapped_without_a_hermiticity_pass(monkeypatch):
     assert calls == []
     assert type(out) is HermitianOperator and out.n_qubits == 4
     assert report.verdict is Verdict.INSEPARABLE
+
+
+@pytest.mark.parametrize("kind", list(MapKind))
+def test_map_images_inherit_their_source_real_view(kind):
+    # No map makes an imaginary part from real entries, so an image keeps
+    # its source's real-or-complex view: a kind that did would fail here.
+    sources = (ghz(6), random_multiseparable(6, 4, 1), horodecki_b(0.5))
+    assert [rho._real is rho.matrix for rho in sources] == [False, True, True]
+    for rho in sources:
+        for k in range(1, rho.n_qubits + 1):
+            image = apply_on_qubit(rho, k, kind)
+            assert (image._real is image.matrix) == (rho._real is rho.matrix)
+            if image._real is not image.matrix:
+                assert image._real.dtype == np.float64 and np.shares_memory(image._real, image.matrix)
+                assert np.array_equal(image._real, image.matrix.real)
+                assert not image.matrix.imag.any()
+            for tol in (TOL_PSD, 1e-3):
+                assert _psd_certified(image._real, tol) == _psd_certified(_real_valued(image.matrix), tol)
 
 
 def _hermiticity_deviation(m):
