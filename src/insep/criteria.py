@@ -8,7 +8,6 @@ Inconclusive never asserts separability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +18,8 @@ from .linalg import (
     TOL_PSD,
     DensityOperator,
     HermitianOperator,
+    _antidiagonal_pairs,
+    _finite_real,
     _integer_in,
     _lemma2_values,
     _lower_triangle,
@@ -154,12 +155,6 @@ def _best_offdiagonal(blocks) -> OffDiagonalWitness | None:
     return OffDiagonalWitness(a=row, b=row ^ diff, value=values.item(k), hamming_distance=h, bound=0.5**h)
 
 
-def _antidiagonal_pairs(d: int):
-    """(a, b) of the antidiagonal pairs a > b, as _margins takes them."""
-    a = np.arange(d // 2, d)[:, None]
-    return a, d - 1 - a
-
-
 def _stack_best_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix's largest lz and hamming margin, for an (m, d, d) stack.
 
@@ -213,15 +208,12 @@ def map_negativity_check(
     after partial application rules out a product decomposition. tol must be
     finite and at least TOL_PSD: a smaller one would take eigensolver
     rounding on a product state, or an eigenvalue a DensityOperator accepts,
-    for a witness. A bool tol is a TypeError, as True would run at tol 1.
+    for a witness. A bool or non-number tol is a TypeError (_finite_real).
     A shifted-Cholesky certificate of lambda_min >= -3*tol/4 decides
     inconclusive without an eigensolve; otherwise the full eigensystem
     decides, and supplies the witness.
     """
-    if isinstance(tol, (bool, np.bool_)):
-        raise TypeError(f"tolerance must be a number, got {tol!r}")
-    if not (tol >= TOL_PSD and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be finite and >= {TOL_PSD!r}, got {tol!r}")
+    tol = _finite_real(tol, "tolerance", TOL_PSD)
     sigma = apply_product(rho, spec)
     if not _psd_certified(sigma._real, tol):
         w, v = np.linalg.eigh(sigma.matrix)

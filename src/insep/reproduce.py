@@ -36,6 +36,7 @@ from .linalg import (
     TOL_PSD,
     HermitianOperator,
     _bloch_matrix,
+    _finite_real,
     _lemma2_values,
     _validate_density_stack,
     bloch_from_density,
@@ -327,9 +328,7 @@ def check_bloch_projection(h: Harness) -> None:
 
 def run_all(perturb: float = 0.0) -> list[CheckRow]:
     # A NaN or infinite offset would fail rows by arithmetic, not by comparison.
-    if not math.isfinite(perturb):
-        raise ValueError(f"perturb must be finite, got {perturb!r}")
-    h = Harness(perturb=perturb)
+    h = Harness(perturb=_finite_real(perturb, "perturb"))
     check_b_family_threshold(h)
     check_ppt_control(h)
     check_isotropic(h)

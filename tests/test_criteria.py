@@ -333,19 +333,25 @@ def test_map_negativity_tolerance_override():
     assert relaxed.verdict is Verdict.INCONCLUSIVE
 
 
-@pytest.mark.parametrize("tol", [-1.0, -1e-12, 0.0, 1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, 0.0, 1e-10, math.nan, math.inf, pytest.param(10**400, id="1e400")])
 def test_map_negativity_rejects_negative_or_non_finite_tol(tol):
     # With tol = -1 the identity map would call this product state inseparable;
-    # below TOL_PSD, eigensolver rounding would.
+    # below TOL_PSD, eigensolver rounding would. math.isfinite raised
+    # OverflowError on an int too large for a float.
     rho = random_multiseparable(2, terms=1, seed=3)
     with pytest.raises(ValueError, match="tolerance"):
         map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=tol)
     assert map_negativity_check(rho, MapSpec.single(1, MapKind.IDENTITY), tol=TOL_PSD).verdict is Verdict.INCONCLUSIVE
 
 
-@pytest.mark.parametrize("tol", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+@pytest.mark.parametrize(
+    "tol",
+    [True, False, np.True_, np.False_, 1j, "1e-3", None],
+    ids=["True", "False", "np.True_", "np.False_", "1j", "str", "None"],
+)
 def test_map_negativity_refuses_a_bool_tol(tol):
-    # True ran at tol 1.0 and called GHZ inconclusive.
+    # True ran at tol 1.0 and called GHZ inconclusive; 1j, a string and
+    # None raised Python's own TypeError from the comparison.
     rho = ghz(3)
     with pytest.raises(TypeError, match=f"^tolerance must be a number, got {tol!r}$"):
         map_negativity_check(rho, MapSpec.all_qubits(3, MapKind.P), tol)

@@ -566,7 +566,21 @@ def test_antidiagonal_pair_is_settled_by_a_screen_on_either_side(monkeypatch, to
         assert calls == ([] if certified or low < -tol else [(64, 64)]), low
 
 
-def test_stack_of_screened_and_factored_matrices_is_certified_per_matrix(monkeypatch):
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The shapes np.linalg.cholesky is called with, in call order."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
+def test_stack_of_screened_and_factored_matrices_is_certified_per_matrix(cholesky_calls):
     # At d = 64: GHZ is certified by Gershgorin's bound, its all:P image
     # fails the probe, and a product mixture and a matrix at lambda_min =
     # -0.9 TOL_PSD reach the factorization, where only the first factors.
@@ -579,19 +593,39 @@ def test_stack_of_screened_and_factored_matrices_is_certified_per_matrix(monkeyp
     ])
     expected = [_psd_certified(m, TOL_PSD) for m in stack]
     assert expected == [True, False, True, False]
-    calls = []
-    cholesky = np.linalg.cholesky
-
-    def counting(a):
-        calls.append(a.shape)
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    del cholesky_calls[:]
     assert _psd_certified(stack, TOL_PSD).tolist() == expected
     assert _psd_certified(stack.reshape(2, 2, 64, 64), TOL_PSD).tolist() == [expected[:2], expected[2:]]
-    # Each stack factors its two open matrices together, then one by one
-    # when numpy refuses the pair.
-    assert calls == [(2, 64, 64), (64, 64), (64, 64)] * 2
+    # From d = 64 a stack is certified matrix by matrix, so each of its two
+    # open matrices is factored once, on its own.
+    assert cholesky_calls == [(64, 64), (64, 64)] * 2
+
+
+@pytest.mark.parametrize("planted_at", [0, 2, 3])
+@pytest.mark.parametrize("n", [6, 7])
+def test_stack_from_d_64_factors_each_open_matrix_once(cholesky_calls, n, planted_at):
+    # Random-msep matrices and one at lambda_min = -0.9 TOL_PSD pass neither
+    # screen, so all four are open; the planted one does not factor.
+    d = 1 << n
+    matrices = [random_multiseparable(n, 4, seed).matrix for seed in (1, 2, 3)]
+    matrices.insert(planted_at, planted_spectrum(np.random.default_rng(d), d, -0.9 * TOL_PSD))
+    stack = np.stack(matrices)
+    del cholesky_calls[:]
+    expected = [_psd_certified(m, TOL_PSD) for m in stack]
+    assert expected == [i != planted_at for i in range(4)]
+    assert cholesky_calls == [(d, d)] * 4
+    del cholesky_calls[:]
+    assert _psd_certified(stack, TOL_PSD).tolist() == expected
+    assert cholesky_calls == [(d, d)] * 4
+
+
+def test_stack_below_d_64_is_factored_in_one_call(cholesky_calls):
+    # reproduce's soundness stacks are (50, 16, 16): one stacked Cholesky
+    # certifies all of them, where 50 single calls took about 6x as long.
+    stack = np.stack([random_multiseparable(4, 4, seed).matrix for seed in range(50)])
+    del cholesky_calls[:]
+    assert _psd_certified(stack, TOL_PSD).tolist() == [True] * 50
+    assert cholesky_calls == [(50, 16, 16)]
 
 
 def test_real_valued_takes_a_zero_imaginary_part_from_d_64():

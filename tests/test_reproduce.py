@@ -11,6 +11,7 @@ state in one stack (1000).
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -235,9 +236,20 @@ def test_soundness_builds_validates_and_scans_stacks(monkeypatch):
     assert all(r.passed for r in h.rows)
 
 
-@pytest.mark.parametrize("perturb", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "perturb", [math.nan, math.inf, -math.inf, 10**400, -(10**400)], ids=["nan", "inf", "-inf", "1e400", "-1e400"]
+)
 def test_run_all_rejects_a_non_finite_perturb(perturb):
+    # math.isfinite raised OverflowError on an int too large for a float.
     with pytest.raises(ValueError, match=f"^perturb must be finite, got {perturb!r}$"):
+        reproduce.run_all(perturb=perturb)
+
+
+@pytest.mark.parametrize("perturb", [True, np.True_, "x", None, 1j], ids=["True", "np.True_", "str", "None", "1j"])
+def test_run_all_refuses_a_perturb_that_is_not_a_number(perturb):
+    # True ran with an offset of 1 (23/45 rows passed); the others raised
+    # Python's own TypeError from math.isfinite.
+    with pytest.raises(TypeError, match=f"^perturb must be a number, got {re.escape(repr(perturb))}$"):
         reproduce.run_all(perturb=perturb)
 
 
