@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria, states
-from .criteria import DetectionReport, Verdict
+from .criteria import Verdict
 from .linalg import DensityOperator, HermitianOperator, _qubit_count, min_eigenvalue
 from .maps import MapKind, MapSpec, apply_product
 from .reproduce import run_all
@@ -378,16 +378,6 @@ def _text(value) -> str:
     return str(value)
 
 
-def _print_report(report: DetectionReport) -> None:
-    lines = [("verdict", report.verdict.value), ("criterion", report.criterion.value)]
-    if report.map_spec is not None:
-        lines.append(("map-spec", report.map_spec))
-    if report.witness is not None:
-        lines += report.witness.lines()
-    for label, value in lines:
-        print(f"{label}: {_text(value)}")
-
-
 # Each detect method's check, named in insep.criteria, and whether it takes --spec and --tol.
 # Checks and builders are named so a wrapper on their module's attribute sees each call.
 _METHODS = {
@@ -415,7 +405,7 @@ def _cmd_detect(args) -> int:
         spec = parse_map_spec(args.spec, rho.n_qubits)
         options = (spec,) if args.tol is None else (spec, _parse(args.tol, float, "tolerance must be a number"))
     report = getattr(criteria, check)(rho, *options)
-    _print_report(report)
+    print("\n".join(f"{label}: {_text(value)}" for label, value in report.lines()))
     return 0 if report.verdict is Verdict.INSEPARABLE else 1
 
 

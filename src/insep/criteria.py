@@ -104,16 +104,23 @@ class EigenvalueWitness:
         return [("min-eigenvalue", self.min_eigenvalue), ("eigenvector", self.eigenvector)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DetectionReport:
-    verdict: Verdict
+    """A check's outcome: inseparable exactly when it holds a witness."""
+
     criterion: Criterion
     witness: OffDiagonalWitness | EigenvalueWitness | None = None
     map_spec: MapSpec | None = None
 
-    def __post_init__(self):
-        if self.verdict is Verdict.INSEPARABLE and self.witness is None:
-            raise ValueError("an inseparability verdict requires a witness")
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.INCONCLUSIVE if self.witness is None else Verdict.INSEPARABLE
+
+    def lines(self) -> list[tuple[str, object]]:
+        """The (label, value) pairs insep detect prints, in order, with raw values."""
+        spec = [] if self.map_spec is None else [("map-spec", self.map_spec)]
+        witness = [] if self.witness is None else self.witness.lines()
+        return [("verdict", self.verdict.value), ("criterion", self.criterion.value), *spec, *witness]
 
 
 def _margins(values, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +175,11 @@ def _stack_best_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lz, _margins(stack, i[:, None], i)[0].max(axis=(1, 2))
 
 
-def _offdiagonal_report(criterion: Criterion, witness: OffDiagonalWitness | None) -> DetectionReport:
-    if witness is None:
-        return DetectionReport(Verdict.INCONCLUSIVE, criterion)
-    return DetectionReport(Verdict.INSEPARABLE, criterion, witness)
+def _require_state(rho) -> None:
+    # A check's bounds hold for states only: a trace or eigenvalue outside a
+    # state's would give an inseparable verdict to a matrix that is none.
+    if not isinstance(rho, DensityOperator):
+        raise TypeError(f"expected a DensityOperator, got {type(rho).__name__}")
 
 
 def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
@@ -180,9 +188,10 @@ def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
     Inseparable if some antidiagonal element (a, 2^n-1-a) has modulus above
     (1/2)^n; product mixtures cannot exceed that bound.
     """
+    _require_state(rho)
     a, b = _antidiagonal_pairs(1 << rho.n_qubits)
     witness = _best_offdiagonal([(rho.matrix[a, b], a, b)])
-    return _offdiagonal_report(Criterion.LZ_ANTIDIAGONAL, witness)
+    return DetectionReport(criterion=Criterion.LZ_ANTIDIAGONAL, witness=witness)
 
 
 def hamming_offdiagonal_check(rho: DensityOperator) -> DetectionReport:
@@ -192,11 +201,12 @@ def hamming_offdiagonal_check(rho: DensityOperator) -> DetectionReport:
     maximizing |c_ab| - 1/2^h(a,b) when any margin exceeds TOL_CRIT. Scans
     the lower triangle in blocks of _BLOCK_ROWS rows.
     """
+    _require_state(rho)
     m = rho.matrix
     i = np.arange(m.shape[0])
     rows = (slice(a0, a0 + _BLOCK_ROWS) for a0 in range(0, m.shape[0], _BLOCK_ROWS))
     witness = _best_offdiagonal((m[r, : r.stop], i[r, None], i[: r.stop]) for r in rows)
-    return _offdiagonal_report(Criterion.HAMMING_OFFDIAGONAL, witness)
+    return DetectionReport(criterion=Criterion.HAMMING_OFFDIAGONAL, witness=witness)
 
 
 def map_negativity_check(
@@ -213,14 +223,15 @@ def map_negativity_check(
     inconclusive without an eigensolve; otherwise the full eigensystem
     decides, and supplies the witness.
     """
+    _require_state(rho)
     tol = _finite_real(tol, "tolerance", TOL_PSD)
     sigma = apply_product(rho, spec)
+    witness = None
     if not _psd_certified(sigma._real, tol):
         w, v = np.linalg.eigh(sigma.matrix)
         if w[0] < -tol:
             witness = EigenvalueWitness(min_eigenvalue=float(w[0]), eigenvector=v[:, 0].copy())
-            return DetectionReport(Verdict.INSEPARABLE, Criterion.MAP_NEGATIVITY, witness, spec)
-    return DetectionReport(Verdict.INCONCLUSIVE, Criterion.MAP_NEGATIVITY, map_spec=spec)
+    return DetectionReport(criterion=Criterion.MAP_NEGATIVITY, witness=witness, map_spec=spec)
 
 
 def _lemma1_holds(c_abs, s_abs, n: int, h):

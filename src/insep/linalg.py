@@ -66,7 +66,7 @@ def _integer_in(q, lo, hi, what: str) -> int:
 
 
 def _finite_real(x, what: str, lo: float = -sys.float_info.max) -> float:
-    """x as a float in lo..max float: the package's one number rule, for a tolerance or an offset.
+    """x as a float in lo..max float: the one number rule, for tolerances, offsets and family parameters.
 
     A bool (True would run as 1) or a non-numbers.Real is a TypeError, and
     NaN or a number out of range a ValueError, each naming ``what``.

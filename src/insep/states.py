@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import BlochVector, DensityOperator, _bloch_matrix, _integer_in, _qubit_count
+from .linalg import BlochVector, DensityOperator, _bloch_matrix, _finite_real, _integer_in, _qubit_count
 
 __all__ = [
     "Bell",
@@ -53,6 +53,7 @@ def horodecki_b(b: float) -> DensityOperator:
     b/(7b+1) at (0,5), (1,6), (2,7) and mirrors, and sqrt(1-b^2)/(14b+2) at
     (4,7) and (7,4).
     """
+    b = _finite_real(b, "b")
     if not 0 < b < 1:
         raise ValueError(f"b must be in (0, 1), got {b}")
     m = np.zeros((8, 8))
@@ -67,8 +68,7 @@ def horodecki_b(b: float) -> DensityOperator:
 
 def isotropic(s: float, bell: Bell = Bell.PHI_PLUS) -> DensityOperator:
     """Two-qubit isotropic state (|phi><phi| + s*I/4)/(1+s), s <= -4 or s >= 0."""
-    if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+    s = _finite_real(s, "s")
     if -4 < s < 0:
         raise ValueError(f"s must satisfy s <= -4 or s >= 0, got {s}")
     v = bell_ket(bell)
@@ -78,6 +78,7 @@ def isotropic(s: float, bell: Bell = Bell.PHI_PLUS) -> DensityOperator:
 
 def pure_superposition(p: float) -> DensityOperator:
     """Projector onto sqrt(p)|00> + sqrt(1-p)|11>, 0 < p < 1."""
+    p = _finite_real(p, "p")
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
     v = np.zeros(4, dtype=np.complex128)

@@ -113,6 +113,15 @@ def test_gen_isotropic_non_finite_s_is_one_error_line(capsys, s):
     assert captured.err.splitlines() == [f"error: s must be finite, got {s}"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family, key", [("horodecki-b", "b"), ("pure-p", "p")])
+def test_gen_non_finite_b_or_p_is_one_error_line(capsys, family, key, value):
+    assert main(["gen", family, f"{key}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {key} must be finite, got {value}"]
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_gen_out_of_range_seed_names_the_parameter(capsys, seed):
     assert main(["gen", "random-msep", "n=3", f"seed={seed}"]) == 2

@@ -7,6 +7,7 @@ from insep import (
     Criterion,
     DensityOperator,
     DetectionReport,
+    EigenvalueWitness,
     HermitianOperator,
     MapKind,
     MapSpec,
@@ -73,9 +74,55 @@ def nonneg_mixture(rng, n, terms):
 
 # ---------------------------------------------------------------- reports
 
-def test_inseparable_report_requires_witness():
-    with pytest.raises(ValueError, match="witness"):
+def test_report_is_inseparable_exactly_when_it_holds_a_witness():
+    spec = MapSpec.single(1, MapKind.T)
+    witness = EigenvalueWitness(min_eigenvalue=-1.0, eigenvector=np.array([1.0, 0.0], dtype=complex))
+    bare = DetectionReport(criterion=Criterion.MAP_NEGATIVITY, map_spec=spec)
+    held = DetectionReport(criterion=Criterion.MAP_NEGATIVITY, witness=witness, map_spec=spec)
+    assert bare.verdict is Verdict.INCONCLUSIVE
+    assert held.verdict is Verdict.INSEPARABLE
+    # The verdict is read, never stored: no call can contradict the witness.
+    with pytest.raises(TypeError):
         DetectionReport(Verdict.INSEPARABLE, Criterion.LZ_ANTIDIAGONAL)
+    with pytest.raises(TypeError, match="verdict"):
+        DetectionReport(verdict=Verdict.INCONCLUSIVE, criterion=Criterion.MAP_NEGATIVITY, witness=witness)
+
+    head = [("verdict", "inconclusive"), ("criterion", "map-negativity"), ("map-spec", spec)]
+    assert bare.lines() == head
+    assert held.lines() == [("verdict", "inseparable"), *head[1:], *witness.lines()]
+    lz = lz_antidiagonal_check(ghz(3))
+    assert lz.lines() == [("verdict", "inseparable"), ("criterion", "lz-antidiagonal"), *lz.witness.lines()]
+    flat = hamming_offdiagonal_check(DensityOperator(np.eye(8) / 8))
+    assert flat.lines() == [("verdict", "inconclusive"), ("criterion", "hamming-offdiagonal")]
+
+    seen = set()
+    for rho, spec in decision_sweep():
+        for report in (map_negativity_check(rho, spec), lz_antidiagonal_check(rho), hamming_offdiagonal_check(rho)):
+            assert (report.verdict is Verdict.INSEPARABLE) == (report.witness is not None)
+            seen.add((report.criterion, report.verdict))
+    assert len(seen) == 6
+
+
+# The traceless matrix with 5 at (0, 3) and (3, 0) beats both off-diagonal
+# bounds, and diag(1.5, -0.5, 0, 0) is negative under every map: neither is a state.
+NOT_STATES = {
+    "HermitianOperator": HermitianOperator(np.array([[0, 0, 0, 5], [0] * 4, [0] * 4, [5, 0, 0, 0]])),
+    "ndarray": np.diag([1.5, -0.5, 0, 0]),
+    "NoneType": None,
+}
+
+
+@pytest.mark.parametrize("kind", NOT_STATES)
+@pytest.mark.parametrize(
+    "check",
+    [lz_antidiagonal_check, hamming_offdiagonal_check, lambda rho: map_negativity_check(rho, MapSpec.single(1, MapKind.T))],
+    ids=["lz", "hamming", "map"],
+)
+def test_checks_take_only_a_state(check, kind):
+    with pytest.raises(TypeError, match=f"^expected a DensityOperator, got {kind}$"):
+        check(NOT_STATES[kind])
+    with pytest.raises(TypeError, match="^expected a DensityOperator, got HermitianOperator$"):
+        check(HermitianOperator(np.diag([1.5, -0.5, 0, 0])))
 
 
 # ---------------------------------------------------------------- antidiagonal check

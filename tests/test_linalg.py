@@ -330,18 +330,19 @@ def test_psd_certificate_boundary(d):
         if low >= 0:
             assert certified, (d, low, ref)
 
-        accepts = ref >= -TOL_PSD
-        if accepts:
-            DensityOperator(m)
-        else:
+        spec = MapSpec.single(1, MapKind.IDENTITY)
+        # The check takes states only; the certificate's soundness on the
+        # rejected matrices is asserted above.
+        with pytest.raises(TypeError, match="expected a DensityOperator, got HermitianOperator"):
+            map_negativity_check(HermitianOperator(m), spec)
+        if ref < -TOL_PSD:
             message = f"minimum eigenvalue {ref:.3e} is below -{TOL_PSD}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 DensityOperator(m)
-
-        op = HermitianOperator(m)
-        spec = MapSpec.single(1, MapKind.IDENTITY)
-        w, v = np.linalg.eigh(apply_product(op, spec).matrix)
-        report = map_negativity_check(op, spec)
+            continue
+        rho = DensityOperator(m)
+        w, v = np.linalg.eigh(apply_product(rho, spec).matrix)
+        report = map_negativity_check(rho, spec)
         if w[0] < -TOL_PSD:
             assert report.verdict is Verdict.INSEPARABLE
             assert report.witness.min_eigenvalue == float(w[0])

@@ -109,6 +109,29 @@ def test_isotropic_rejects_non_finite_s_before_any_arithmetic(s):
             isotropic(s)
 
 
+# ---------------------------------------------------------------- family parameters
+
+FAMILIES = [horodecki_b, isotropic, pure_superposition]
+
+
+@pytest.mark.parametrize("build", FAMILIES, ids=["b", "s", "p"])
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, 1j], ids=["True", "np.True_", "str", "None", "1j"])
+def test_family_parameter_must_be_a_number(build, bad):
+    # True would otherwise build the s = 1 state, and a string or None fail
+    # inside Python's own comparison.
+    with pytest.raises(TypeError, match="must be a number"):
+        build(bad)
+
+
+@pytest.mark.parametrize("build", FAMILIES, ids=["b", "s", "p"])
+@pytest.mark.parametrize("bad", [10**400, math.nan, math.inf, -math.inf], ids=["10**400", "nan", "inf", "-inf"])
+def test_family_parameter_must_be_finite(build, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            build(bad)
+
+
 # ---------------------------------------------------------------- pure superposition
 
 def test_pure_superposition_structure():
