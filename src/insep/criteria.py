@@ -3,7 +3,9 @@
 Every check either returns an INSEPARABLE verdict backed by concrete numeric
 evidence (an off-diagonal element exceeding its product-state bound, or a
 negative eigenvalue after a positive-map application) or INCONCLUSIVE.
-Inconclusive never asserts separability.
+Inconclusive never asserts separability. The checks take only a
+DensityOperator: their bounds hold for states, and a trace or eigenvalue
+outside a state's would give an inseparable verdict to a matrix that is none.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .linalg import (
     _lemma2_values,
     _lower_triangle,
     _psd_certified,
+    _require,
     hamming,
 )
 from .maps import MapKind, MapSpec, apply_product
@@ -123,63 +126,59 @@ class DetectionReport:
         return [("verdict", self.verdict.value), ("criterion", self.criterion.value), *spec, *witness]
 
 
-def _margins(values, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Bound violations |m_ab| - 2^-h(a,b), -inf at the pairs a <= b, and a ^ b.
-
-    values[..., i, j] = m[..., a[i, 0], b[i, j]]: a is a column of row
-    indices and b broadcasts against it. Pairs with a <= b are masked out,
-    as Hermiticity makes them redundant.
-    """
-    ab = a ^ b
-    margins = np.abs(values) - _HALF_POWERS[np.bitwise_count(ab)]
-    np.copyto(margins, -np.inf, where=a <= b)
-    return margins, ab
-
-
 def _violates(margin):
     """The off-diagonal checks' one acceptance rule: a margin above TOL_CRIT."""
     return margin > TOL_CRIT
 
 
-def _best_offdiagonal(blocks) -> OffDiagonalWitness | None:
-    """The pair a > b of largest margin over blocks, if that margin violates its bound.
+def _lz_blocks(m):
+    """lz's one block for an (..., d, d) array: its d/2 pairs a > b = d - 1 - a, bound 2^-n.
 
-    Each block is (values, a, b) as _margins takes them. Blocks come in
-    lexicographic order and only a strictly larger margin replaces the best,
-    so the smallest (a, b) wins a tie, which keeps witnesses deterministic.
+    A block is (values, a, b, bound): a, b and bound are 2-D and broadcast
+    to values' last two axes, and values[..., i, j] = m[..., a, b] at their
+    entry (i, j).
+    """
+    d = m.shape[-1]
+    a, b = _antidiagonal_pairs(d)
+    yield m[..., a, b], a, b, _HALF_POWERS[d.bit_length() - 1, None, None]
+
+
+def _hamming_blocks(m):
+    """hamming's blocks of _BLOCK_ROWS rows for an (..., d, d) array, bound 2^-h(a,b).
+
+    The bound is +inf on and above the diagonal, as Hermiticity makes those
+    pairs redundant, so only the lower triangle can violate it.
+    """
+    i = np.arange(m.shape[-1])
+    for a0 in range(0, m.shape[-1], _BLOCK_ROWS):
+        a, b = i[a0 : a0 + _BLOCK_ROWS, None], i[None, : a0 + _BLOCK_ROWS]
+        bound = _HALF_POWERS[np.bitwise_count(a ^ b)]
+        np.copyto(bound, np.inf, where=a <= b)
+        yield m[..., a0 : a0 + _BLOCK_ROWS, : a0 + _BLOCK_ROWS], a, b, bound
+
+
+def _best_offdiagonal(blocks) -> OffDiagonalWitness | None:
+    """The pair of largest margin |m_ab| - bound over blocks, if it violates its bound.
+
+    Each block is (values, a, b, bound) as _lz_blocks and _hamming_blocks
+    yield them for one matrix. Blocks come in lexicographic order and only
+    a strictly larger margin replaces the best, so the smallest (a, b) wins
+    a tie, which keeps witnesses deterministic.
     """
     best, found = -np.inf, None
-    for values, a, b in blocks:
-        margins, ab = _margins(values, a, b)
+    for values, a, b, bound in blocks:
+        margins = np.abs(values)
+        margins -= bound  # in place: one block-sized allocation fewer
         k = int(margins.argmax())
         if margins.item(k) > best:
-            best, found = margins.item(k), (values, a, ab, k)
+            best, found = margins.item(k), (values, a, b, bound, k)
     if not _violates(best):
         return None
-    values, a, ab, k = found
-    row, diff = a.item(k // values.shape[1]), ab.item(k)
-    h = diff.bit_count()
-    return OffDiagonalWitness(a=row, b=row ^ diff, value=values.item(k), hamming_distance=h, bound=0.5**h)
-
-
-def _stack_best_margins(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix's largest lz and hamming margin, for an (m, d, d) stack.
-
-    The margins are those lz_antidiagonal_check and hamming_offdiagonal_check
-    take their witnesses from, so _violates(margin) is their verdict. The
-    whole stack is scanned at once, so it suits small d only.
-    """
-    a, b = _antidiagonal_pairs(stack.shape[-1])
-    i = np.arange(stack.shape[-1])
-    lz = _margins(stack[:, a, b], a, b)[0].max(axis=(1, 2))
-    return lz, _margins(stack, i[:, None], i)[0].max(axis=(1, 2))
-
-
-def _require_state(rho) -> None:
-    # A check's bounds hold for states only: a trace or eigenvalue outside a
-    # state's would give an inseparable verdict to a matrix that is none.
-    if not isinstance(rho, DensityOperator):
-        raise TypeError(f"expected a DensityOperator, got {type(rho).__name__}")
+    values, a, b, bound, k = found
+    # Entry (i, j) of each 2-D array broadcast to values' shape.
+    i, j = divmod(k, values.shape[1])
+    a, b, bound = (x.item(i % x.shape[0], j % x.shape[1]) for x in (a, b, bound))
+    return OffDiagonalWitness(a=a, b=b, value=values.item(k), hamming_distance=(a ^ b).bit_count(), bound=bound)
 
 
 def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
@@ -188,9 +187,8 @@ def lz_antidiagonal_check(rho: DensityOperator) -> DetectionReport:
     Inseparable if some antidiagonal element (a, 2^n-1-a) has modulus above
     (1/2)^n; product mixtures cannot exceed that bound.
     """
-    _require_state(rho)
-    a, b = _antidiagonal_pairs(1 << rho.n_qubits)
-    witness = _best_offdiagonal([(rho.matrix[a, b], a, b)])
+    _require(rho, DensityOperator)
+    witness = _best_offdiagonal(_lz_blocks(rho.matrix))
     return DetectionReport(criterion=Criterion.LZ_ANTIDIAGONAL, witness=witness)
 
 
@@ -201,11 +199,8 @@ def hamming_offdiagonal_check(rho: DensityOperator) -> DetectionReport:
     maximizing |c_ab| - 1/2^h(a,b) when any margin exceeds TOL_CRIT. Scans
     the lower triangle in blocks of _BLOCK_ROWS rows.
     """
-    _require_state(rho)
-    m = rho.matrix
-    i = np.arange(m.shape[0])
-    rows = (slice(a0, a0 + _BLOCK_ROWS) for a0 in range(0, m.shape[0], _BLOCK_ROWS))
-    witness = _best_offdiagonal((m[r, : r.stop], i[r, None], i[: r.stop]) for r in rows)
+    _require(rho, DensityOperator)
+    witness = _best_offdiagonal(_hamming_blocks(rho.matrix))
     return DetectionReport(criterion=Criterion.HAMMING_OFFDIAGONAL, witness=witness)
 
 
@@ -223,7 +218,7 @@ def map_negativity_check(
     inconclusive without an eigensolve; otherwise the full eigensystem
     decides, and supplies the witness.
     """
-    _require_state(rho)
+    _require(rho, DensityOperator)
     tol = _finite_real(tol, "tolerance", TOL_PSD)
     sigma = apply_product(rho, spec)
     witness = None
@@ -251,6 +246,7 @@ def lemma2_witness_value(sigma: HermitianOperator, a: int, b: int) -> float:
     are basis indices in 0..d - 1 by _integer_in's rule, so a bool or a float
     is a TypeError.
     """
+    _require(sigma, HermitianOperator)
     m = sigma.matrix
     top = m.shape[0] - 1
     a, b = _integer_in(a, 0, top, "basis index"), _integer_in(b, 0, top, "basis index")
@@ -268,6 +264,7 @@ def equal_argument_check(rho: HermitianOperator) -> bool:
     Phases are compared as angles between complex numbers, to within 1e-9
     rad, so the +-pi wraparound is handled.
     """
+    _require(rho, HermitianOperator)
     c = rho.matrix[_lower_triangle(rho.matrix.shape[0])]
     c = c[np.abs(c) > 1e-12]
     return c.size == 0 or not np.any(np.abs(np.angle(c * np.conj(c[0]))) > 1e-9)
@@ -281,6 +278,7 @@ def lemma1_bound_check(rho: HermitianOperator, a: int, b: int) -> bool:
     elements are untouched. a and b are basis indices by hamming's rule, so
     a bool or a float is a TypeError.
     """
+    _require(rho, HermitianOperator)
     n = rho.n_qubits
     h = hamming(a, b, n)
     if h == 0:

@@ -79,6 +79,17 @@ def _finite_real(x, what: str, lo: float = -sys.float_info.max) -> float:
     return float(x)
 
 
+def _require(obj, cls) -> None:
+    """The one type rule for operator and spec arguments: obj must be a cls.
+
+    Operators are validated when built and map images are wrapped unchecked,
+    so only an instance may come in; anything else is a TypeError, not a
+    numpy error from deep inside.
+    """
+    if not isinstance(obj, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(obj).__name__}")
+
+
 def _qubit_count(n) -> int:
     """A qubit count as a Python int in 1..MAX_QUBITS, by _integer_in's rule.
 
@@ -415,15 +426,19 @@ def _validate_density_stack(stack: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Coordinates (x, y, z) of a single-qubit state in the radius-1/2 ball."""
+    """Coordinates (x, y, z) of a single-qubit state in the radius-1/2 ball.
+
+    Each coordinate takes _finite_real's rule and is stored as its float.
+    """
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, _finite_real(getattr(self, name), name))
         r2 = self.x * self.x + self.y * self.y + self.z * self.z
-        # Written so that NaN, which fails every comparison, is rejected too.
         if not r2 <= 0.25 + TOL_PSD:
             raise ValueError(f"point ({self.x}, {self.y}, {self.z}) is outside the Bloch ball")
 
@@ -433,10 +448,13 @@ class BlochVector:
 
 def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product; qubit 1 of ``a`` becomes qubit 1 of the result."""
+    _require(a, HermitianOperator)
+    _require(b, HermitianOperator)
     return HermitianOperator(np.kron(a.matrix, b.matrix), a.n_qubits + b.n_qubits)
 
 
 def min_eigenvalue(op: HermitianOperator) -> float:
+    _require(op, HermitianOperator)
     return float(np.linalg.eigvalsh(op.matrix)[0])
 
 
@@ -454,6 +472,7 @@ def hamming(a: int, b: int, n: int) -> int:
 
 def bloch_from_density(sigma: HermitianOperator) -> BlochVector:
     """Bloch coordinates of a single-qubit operator, rho = I/2 + x X + y Y + z Z."""
+    _require(sigma, HermitianOperator)
     if sigma.n_qubits != 1:
         raise ValueError("Bloch coordinates are defined for a single qubit")
     m = sigma.matrix

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, HermitianOperator, _integer_in, _qubit_count
+from .linalg import MAX_QUBITS, HermitianOperator, _integer_in, _qubit_count, _require
 
 __all__ = [
     "MapKind",
@@ -78,13 +78,6 @@ _ON_2X2 = {
 }
 
 
-def _require_operator(rho) -> None:
-    # The outputs below are wrapped unchecked, so only a validated operator
-    # may come in.
-    if not isinstance(rho, HermitianOperator):
-        raise TypeError(f"expected a HermitianOperator, got {type(rho).__name__}")
-
-
 def _require_kind(kind) -> None:
     if not isinstance(kind, MapKind):
         raise TypeError(f"expected MapKind, got {kind!r}")
@@ -92,7 +85,7 @@ def _require_kind(kind) -> None:
 
 def _operator_and_qubit(rho, k) -> tuple[int, int]:
     """(n, k) for a single-qubit map on qubit k of a validated n-qubit rho."""
-    _require_operator(rho)
+    _require(rho, HermitianOperator)
     return rho.n_qubits, _integer_in(k, 1, rho.n_qubits, "qubit index")
 
 
@@ -102,7 +95,7 @@ def lambda_p(sigma: HermitianOperator) -> HermitianOperator:
     The output is wrapped without a second Hermiticity check; see
     apply_on_qubit for why that is safe.
     """
-    _require_operator(sigma)
+    _require(sigma, HermitianOperator)
     if sigma.n_qubits != 1:
         raise ValueError("map is defined on a single qubit (2x2 input)")
     return HermitianOperator._derived(_p2(sigma.matrix), sigma)
@@ -251,9 +244,8 @@ def apply_product(rho: HermitianOperator, spec: MapSpec) -> HermitianOperator:
     apply_on_qubit, so at most n P steps add at most 2 n u max|rho| to the
     input's Hermiticity deviation.
     """
-    _require_operator(rho)
-    if not isinstance(spec, MapSpec):
-        raise TypeError(f"expected a MapSpec, got {type(spec).__name__}")
+    _require(rho, HermitianOperator)
+    _require(spec, MapSpec)
     spec.validate_for(rho.n_qubits)
     out = rho
     for q, kind in spec.assignments:

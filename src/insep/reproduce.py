@@ -24,8 +24,9 @@ import numpy as np
 
 from .criteria import (
     Verdict,
+    _hamming_blocks,
     _lemma1_holds,
-    _stack_best_margins,
+    _lz_blocks,
     _violates,
     equal_argument_check,
     hamming_offdiagonal_check,
@@ -231,8 +232,10 @@ def check_soundness(h: Harness) -> None:
                 by_terms.setdefault(1 + i % 5, []).append(i)
             stack = np.concatenate([_multiseparable_stack(n, t, seeds) for t, seeds in by_terms.items()])
             _validate_density_stack(stack)
-            for margins in _stack_best_margins(stack):
-                false_positives += int(np.count_nonzero(_violates(margins)))
+            # Each matrix's largest margin per criterion, over its check's blocks.
+            for blocks in (_lz_blocks(stack), _hamming_blocks(stack)):
+                best = np.max([(np.abs(v) - bound).max(axis=(-2, -1)) for v, _, _, bound in blocks], axis=0)
+                false_positives += int(np.count_nonzero(_violates(best)))
             for assignments in specs:
                 mapped = stack
                 for q, kind in assignments:

@@ -9,8 +9,8 @@ import pytest
 import insep
 from insep import criteria, linalg, maps, states
 from insep.cli import CliError, load_operator, main, serialize_operator
-from insep.criteria import lemma1_bound_check, lemma2_witness_value
-from insep.linalg import DensityOperator, HermitianOperator, hamming
+from insep.criteria import equal_argument_check, lemma1_bound_check, lemma2_witness_value
+from insep.linalg import DensityOperator, HermitianOperator, bloch_from_density, hamming, min_eigenvalue, tensor
 from insep.maps import MapKind, MapSpec, apply_on_qubit, apply_on_qubit_dense, apply_product
 from insep.states import bell_ket, ghz, isotropic, product_state, random_multiseparable
 
@@ -50,6 +50,27 @@ def test_bell_ket_refuses_what_is_not_a_bell(bell):
         bell_ket(bell)
     with pytest.raises(TypeError, match=f"^{message}$"):
         isotropic(0.5, bell)
+
+
+# Each function that takes a HermitianOperator, called on x in its place.
+_HALF = HermitianOperator(np.eye(2) / 2)
+OPERATOR_ENTRY_POINTS = {
+    "equal_argument_check": equal_argument_check,
+    "lemma1_bound_check": lambda x: lemma1_bound_check(x, 0, 1),
+    "lemma2_witness_value": lambda x: lemma2_witness_value(x, 0, 1),
+    "bloch_from_density": bloch_from_density,
+    "min_eigenvalue": min_eigenvalue,
+    "tensor left": lambda x: tensor(x, _HALF),
+    "tensor right": lambda x: tensor(_HALF, x),
+}
+
+
+@pytest.mark.parametrize("x", [np.eye(4) / 4, np.eye(2) / 2, None], ids=["ndarray4", "ndarray2", "None"])
+@pytest.mark.parametrize("entry", OPERATOR_ENTRY_POINTS)
+def test_every_operator_argument_takes_one_type_rule(entry, x):
+    # Before, an ndarray got as far as numpy and raised AttributeError.
+    with pytest.raises(TypeError, match=f"^expected a HermitianOperator, got {type(x).__name__}$"):
+        OPERATOR_ENTRY_POINTS[entry](x)
 
 
 def _load_count(n, path):

@@ -26,8 +26,9 @@ from insep.criteria import (
     _HALF_POWERS,
     TOL_CRIT,
     _best_offdiagonal,
+    _hamming_blocks,
     _lemma1_holds,
-    _stack_best_margins,
+    _lz_blocks,
     _violates,
 )
 from insep.linalg import TOL_PSD, _psd_certified
@@ -251,9 +252,27 @@ def test_witness_tie_breaks_lexicographically():
     m = np.zeros((4, 4), dtype=complex)
     m[3, 0] = m[0, 3] = 0.3
     m[2, 1] = m[1, 2] = 0.3
-    i = np.arange(4)
-    w = _best_offdiagonal([(m, i[:, None], i)])
+    w = _best_offdiagonal(_hamming_blocks(m))
     assert (w.a, w.b) == (2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_each_criterion_has_its_pairs_and_bounds_in_one_builder(n):
+    # At n = 9 the hamming scan spans two blocks of 256 rows.
+    d = 1 << n
+    m = np.zeros((d, d))
+    finite = []
+    for values, a, b, bound in _hamming_blocks(m):
+        assert a.ndim == b.ndim == bound.ndim == 2
+        a, b, bound = np.broadcast_arrays(a, b, bound)
+        assert values.shape == bound.shape
+        keep = np.isfinite(bound)
+        finite += zip(a[keep].tolist(), b[keep].tolist(), bound[keep].tolist())
+    assert finite == [(a, b, 0.5 ** (a ^ b).bit_count()) for a in range(d) for b in range(a)]
+    [(values, a, b, bound)] = _lz_blocks(m)
+    assert values.shape == a.shape == b.shape == (d // 2, 1)
+    assert list(zip(a.ravel().tolist(), b.ravel().tolist())) == [(a, d - 1 - a) for a in range(d // 2, d)]
+    assert bound.shape == (1, 1) and bound.item() == 0.5**n
 
 
 def test_antidiagonal_tie_breaks_lexicographically():
@@ -707,7 +726,12 @@ def test_stacked_margins_agree_with_the_per_matrix_checks():
     stacks.append(np.stack([ghz(4).matrix, random_multiseparable(4, 2, 9).matrix]))
     fired = {Criterion.LZ_ANTIDIAGONAL: 0, Criterion.HAMMING_OFFDIAGONAL: 0}
     for stack in stacks:
-        for matrix, *margins in zip(stack, *_stack_best_margins(stack)):
+        # Each matrix's largest margin per criterion, as reproduce.check_soundness takes it.
+        stacked = [
+            np.max([(np.abs(v) - bound).max(axis=(-2, -1)) for v, _, _, bound in blocks(stack)], axis=0)
+            for blocks in (_lz_blocks, _hamming_blocks)
+        ]
+        for matrix, *margins in zip(stack, *stacked):
             rho = DensityOperator(matrix)
             for check, margin in zip((lz_antidiagonal_check, hamming_offdiagonal_check), margins):
                 report = check(rho)

@@ -174,11 +174,28 @@ def test_density_operator_scans_imaginary_parts_once(monkeypatch):
 
 
 def test_bloch_vector_ball_invariant():
-    BlochVector(0.3, -0.3, 0.2)
+    # Each coordinate is stored as the float the number rule returns.
+    v = BlochVector(np.float64(0.3), -0.3, np.int64(0))
+    assert [type(c) for c in v] == [float] * 3 and tuple(v) == (0.3, -0.3, 0.0)
     nan = float("nan")
-    for v in [(0.5, 0.5, 0.0), (nan, 0.0, 0.0), (0.0, nan, 0.0), (0.0, 0.0, nan)]:
+    # Each coordinate takes the package's number rule before the radius check.
+    refusals = [((0.5, 0.5, 0.0), ValueError, "point (0.5, 0.5, 0.0) is outside the Bloch ball")]
+    for i, name in enumerate("xyz"):
+        for value, kind, message in [
+            (nan, ValueError, f"{name} must be finite, got nan"),
+            (10**400, ValueError, f"{name} must be finite, got {10**400!r}"),
+            (True, TypeError, f"{name} must be a number, got True"),
+            (np.True_, TypeError, f"{name} must be a number, got {np.True_!r}"),
+            ("0.1", TypeError, f"{name} must be a number, got '0.1'"),
+            (None, TypeError, f"{name} must be a number, got None"),
+            (1j, TypeError, f"{name} must be a number, got 1j"),
+        ]:
+            v = [0.0, 0.0, 0.0]
+            v[i] = value
+            refusals.append((tuple(v), kind, message))
+    for v, kind, message in refusals:
         for build in (lambda v: BlochVector(*v), lambda v: product_state([v])):
-            with pytest.raises(ValueError, match="outside the Bloch ball"):
+            with pytest.raises(kind, match=f"^{re.escape(message)}$"):
                 build(v)
 
 
